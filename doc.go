@@ -15,7 +15,8 @@
 //     differentially tested for Split/stream agreement
 //   - internal/gpu, internal/pcie, internal/hostmem, internal/host,
 //     internal/sim — the simulated device/host substrate (this machine
-//     has no GPU; see DESIGN.md for the substitution argument)
+//     has no GPU: boundaries and hashes are computed for real, only
+//     device, PCIe and SAN timing is modelled)
 //   - internal/core — the Shredder pipeline itself; with HostWorkers
 //     set it chunks on many cores via chunk.Parallel (region scans
 //     with window warmup, seam fixup, byte-identical output — the
@@ -51,7 +52,11 @@
 //     the bodies the server's NeedBatch answer reports missing, the
 //     server pinning every skipped chunk's refcount under the shard
 //     lock inside the lookup — with per-stream WireStats measuring
-//     the bytes the backup-site link was spared
+//     the bytes the backup-site link was spared. The client end of it
+//     (Session.BackupDedup) is the paper's staged pipeline: a
+//     read+scan goroutine over pooled segment buffers, hash workers,
+//     and the wire stage running round N while round N+1 is cut and
+//     fingerprinted, chunk bodies sent as views into the segments
 //   - internal/cluster — multi-node scale-out over the unchanged wire
 //     protocol: a consistent-hash ring (virtual nodes over a 64-bit
 //     key space; a chunk's fingerprint prefix is its ring key, so

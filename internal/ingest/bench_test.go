@@ -1,7 +1,10 @@
 package ingest
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 
@@ -98,6 +101,92 @@ func BenchmarkIngestChunkers(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				if _, err := c.BackupBytes(fmt.Sprintf("i%d", n), img); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBackupDedup is the dedup client end to end: one session over
+// loopback TCP against an in-process server on a memory store, FastCDC.
+// Every iteration sends a stream in which the stated share repeats
+// content the server holds (every 512-byte block of the rest is stamped
+// with a counter, so no fresh chunk ever repeats). MB/s is logical
+// bytes; B/op and allocs/op cover both ends of the connection, the
+// server being in this process. The 64 KiB case is what a pipeline
+// costs a stream too small to overlap anything.
+func BenchmarkBackupDedup(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		size  int
+		fresh int // bytes of the stream that are new each iteration
+	}{
+		{"16MiB/dup0", 16 << 20, 16 << 20},
+		{"16MiB/dup90", 16 << 20, 16 << 20 / 10},
+		{"64KiB/dup0", 64 << 10, 64 << 10},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			img := workload.Random(33, tc.size)
+			var (
+				ln     net.Listener
+				c      *Session
+				stored int
+				stamp  uint64
+			)
+			// connect starts a fresh server holding img. The memory store
+			// only grows, so the benchmark starts over on a new one now
+			// and then, off the clock.
+			connect := func() {
+				if c != nil {
+					_ = c.Close()
+					_ = ln.Close()
+				}
+				srv, err := NewServer(testConfig(16))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+					b.Fatal(err)
+				}
+				go func() { _ = srv.Serve(ln) }()
+				if c, err = Dial(ln.Addr().String()); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.NegotiateDedup(chunk.FastCDCSpec(4 << 10)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.BackupDedupBytes("base", img); err != nil {
+					b.Fatal(err)
+				}
+				stored = 0
+			}
+			connect()
+			defer func() {
+				_ = c.Close()
+				_ = ln.Close()
+			}()
+			rd := bytes.NewReader(nil)
+			b.SetBytes(int64(tc.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if stored > 192<<20 {
+					b.StopTimer()
+					connect()
+					b.StartTimer()
+				}
+				for off := 0; off < tc.fresh; off += 512 {
+					stamp++
+					binary.LittleEndian.PutUint64(img[off:], stamp)
+				}
+				stored += tc.fresh
+				rd.Reset(img)
+				st, err := c.BackupDedup(fmt.Sprintf("i%d", n), rd)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Bytes != int64(tc.size) {
+					b.Fatalf("server acked %d of %d bytes", st.Bytes, tc.size)
 				}
 			}
 		})

@@ -56,6 +56,10 @@ type Session struct {
 	// NegotiateDedup builds in the parallel host chunker, so BackupDedup
 	// cuts large streams on many cores with byte-identical output.
 	chunkWorkers int
+
+	// segs holds the read buffers BackupDedup's pipeline cuts streams
+	// from, kept across streams (nil until the first one).
+	segs *segmentPool
 }
 
 // Client is the session type's historical name.
@@ -458,6 +462,27 @@ func (s *Session) CommitDedup() (*StreamStats, error) {
 // server reports missing are uploaded, followed by a commit the server
 // durably acks. Requires NegotiateDedup. The returned stats carry the
 // server-computed WireStats — the whole point of the exercise.
+//
+// The work is pipelined (see chunkPipeline): while this goroutine runs
+// round N on the wire, round N+1 is being cut and fingerprinted from
+// pooled segment buffers, and bodies are sent straight out of those
+// buffers. One round is on the wire at a time, so the frames are the
+// ones a sequential client would send. The session keeps at most
+// pipelineDepth+2 segment buffers for its streams: 24 MiB, unless the
+// engine holds back more than half a segment (2 MiB) between writes —
+// chunk.Parallel over many workers, a spec with multi-megabyte chunks —
+// when each buffer is that much larger than a segment.
+//
+// ErrDedupUnsupported is returned before anything is sent and leaves
+// the session usable. Every other failure leaves it dead, to be
+// closed. A failing r — any error of r's but io.EOF fails the stream,
+// and is returned as it is after the rounds that r's bytes completed —
+// strands the stream half-sent, and only the close makes the server
+// give back what the stream pinned; a *RemoteError, an unexpected frame
+// or a transport error means the server has dropped the connection or
+// is out of step with it. BackupDedup returns only after its goroutines
+// have exited, which includes waiting out a Read on r that is in
+// flight.
 func (s *Session) BackupDedup(name string, r io.Reader) (*StreamStats, error) {
 	if s.version < 3 || s.eng == nil {
 		return nil, ErrDedupUnsupported
@@ -470,69 +495,77 @@ func (s *Session) BackupDedup(name string, r io.Reader) (*StreamStats, error) {
 	if err := s.BeginDedup(name, sp.Context()); err != nil {
 		return nil, err
 	}
-	var (
-		hs     []dedup.Hash
-		bodies [][]byte
-		held   int64
-	)
-	flush := func() error {
-		if len(hs) == 0 {
-			return nil
+	if s.segs == nil {
+		s.segs = newSegmentPool(pipelineDepth + 2)
+	}
+	p := startChunkPipeline(r, s.eng, s.segs, dedupBatchChunks, dedupBatchBytes)
+	defer p.stop()
+	// This goroutine's time is either spent on the wire or idle, waiting
+	// for the pipeline to have a round ready.
+	start := time.Now()
+	var idle time.Duration
+	for {
+		t0 := time.Now()
+		b, err := p.next()
+		idle += time.Since(t0)
+		if err == io.EOF {
+			break
 		}
-		hb := sp.Child("has_batch", obs.Int("chunks", int64(len(hs))))
-		missing, err := s.HasBatch(hs)
 		if err != nil {
-			hb.End()
-			return err
+			return nil, err
 		}
-		hb.Set(obs.Int("missing", int64(len(missing))))
-		hb.End()
-		up := sp.Child("upload", obs.Int("chunks", int64(len(missing))))
-		defer up.End()
-		send := make([][]byte, 0, len(missing))
-		var upBytes int64
-		for _, i := range missing {
-			send = append(send, bodies[i])
-			upBytes += int64(len(bodies[i]))
+		err = s.dedupRound(sp, b)
+		b.release()
+		if err != nil {
+			return nil, err
 		}
-		if err := s.SendBodies(send...); err != nil {
-			return err
-		}
-		up.Set(obs.Int("bytes", upBytes))
-		hs, bodies, held = hs[:0], bodies[:0], 0
-		return nil
-	}
-	sink := s.eng.Stream(func(c chunk.Chunk, data []byte) error {
-		// data is a view into the engine's buffer: copy to hold it
-		// until the server's missing-set answer for this round.
-		hs = append(hs, dedup.Sum(data))
-		bodies = append(bodies, append([]byte(nil), data...))
-		held += int64(len(data))
-		if len(hs) >= dedupBatchChunks || held >= dedupBatchBytes {
-			return flush()
-		}
-		return nil
-	})
-	if _, err := io.Copy(sink, r); err != nil {
-		return nil, err
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
-		return nil, err
 	}
 	c := sp.Child("commit")
-	defer c.End()
 	st, err := s.CommitDedup()
+	c.End()
 	if err != nil {
 		return nil, err
 	}
-	c.End()
-	sp.Set(obs.Int("bytes", st.Bytes), obs.Int("chunks", st.Chunks),
-		obs.Int("wire_bytes", st.Wire.WireBytes),
-		obs.Int("chunks_skipped", st.Wire.ChunksSkipped))
+	if sp != nil {
+		wire := time.Since(start) - idle
+		pt := p.stop()
+		sp.Set(obs.Int("bytes", st.Bytes), obs.Int("chunks", st.Chunks),
+			obs.Int("wire_bytes", st.Wire.WireBytes),
+			obs.Int("chunks_skipped", st.Wire.ChunksSkipped),
+			obs.Float("scan_s", pt.scan.Seconds()),
+			obs.Float("hash_s", pt.hash.Seconds()),
+			obs.Float("wire_s", wire.Seconds()),
+			obs.Float("wire_idle_s", idle.Seconds()),
+			obs.Float("producer_stall_s", pt.stall.Seconds()))
+	}
 	return st, nil
+}
+
+// dedupRound runs one fingerprint round for a hashed batch: HasBatch,
+// then the bodies the server asked for, sent from the batch's views.
+func (s *Session) dedupRound(sp *obs.Span, b *chunkBatch) error {
+	hb := sp.Child("has_batch", obs.Int("chunks", int64(len(b.hashes))))
+	missing, err := s.HasBatch(b.hashes)
+	if err != nil {
+		hb.End()
+		return err
+	}
+	hb.Set(obs.Int("missing", int64(len(missing))))
+	hb.End()
+	up := sp.Child("upload", obs.Int("chunks", int64(len(missing))))
+	defer up.End()
+	var upBytes int64
+	for _, i := range missing {
+		if err := s.WriteBody(b.bodies[i]); err != nil {
+			return err
+		}
+		upBytes += int64(len(b.bodies[i]))
+	}
+	if err := s.bw.Flush(); err != nil {
+		return s.surfaceRemote("dedup backup", s.streamName, err)
+	}
+	up.Set(obs.Int("bytes", upBytes))
+	return nil
 }
 
 // BackupBytes is Backup over an in-memory image.

@@ -152,6 +152,18 @@ func TestConnectedTrace(t *testing.T) {
 	if serverSpan.ParentID != clientRoot.SpanID {
 		t.Errorf("server span parent %s, want client root %s", serverSpan.ParentID, clientRoot.SpanID)
 	}
+	// The client root accounts for the stream's time by stage. The image
+	// is all new to the server and Rabin-cut, so cutting and hashing it
+	// took measurable time; a stage that waited for nothing reports 0.
+	for _, k := range []string{"scan_s", "hash_s", "wire_s", "wire_idle_s", "producer_stall_s"} {
+		v, ok := clientRoot.Attrs[k].(float64)
+		if !ok || v < 0 {
+			t.Errorf("client root attribute %s = %v, want a duration in seconds", k, clientRoot.Attrs[k])
+		}
+		if (k == "scan_s" || k == "hash_s" || k == "wire_s") && v == 0 {
+			t.Errorf("client root attribute %s is zero", k)
+		}
+	}
 	// Both sides contribute their pipeline stages to the one tree.
 	if names["has_batch"] < 2 {
 		t.Errorf("has_batch on only one side: %v", names)

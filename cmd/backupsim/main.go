@@ -26,43 +26,33 @@
 // ships fingerprints first, uploads only the chunk bodies the daemon
 // is missing, and reports the wire bytes saved per stream.
 //
-// With -wire-bench FILE it instead benchmarks raw vs dedup-wire
-// transfer at 0%/50%/95% snapshot redundancy against an in-process
-// server, verifies every stream restores byte-exactly, and writes the
-// matrix as JSON (wire bytes, throughput) to FILE — the CI artifact
-// BENCH_wire.json.
-//
 // With -retention N it runs the retention scenario against a durable
 // in-process server: N generations of a churning image (-prob per
 // 64 KiB segment) are ingested over the dedup wire, the oldest
 // generation is expired (protocol v3 delete) once the -retain window
 // is full, and the store is compacted after every round
 // (-gc-threshold). Every retained generation is verified byte-exact
-// each round and after a restart, per-round metrics go to -gc-json
-// (the CI artifact BENCH_gc.json), and the run fails if the final
-// disk footprint exceeds -amp-limit (default 1.5x) times the live
-// stored bytes.
+// each round and after a restart, and the run fails if the final disk
+// footprint exceeds -amp-limit (default 1.5x) times the live stored
+// bytes.
 //
-// With -commit-bench FILE it benchmarks the group-commit WAL: the
-// same durable in-process service at fsync always (on a simulated
-// commodity disk), 1 vs 16 concurrent sessions, commit window off vs
-// on, reporting sessions/sec per cell and the 16-session speedup as
-// JSON to FILE — the CI artifact BENCH_commit.json.
+// With -cluster N it boots N in-process shredderd nodes behind a
+// consistent-hash router and runs the client series through the
+// router, verifying every routed restore.
 //
-// With -pchunk-bench FILE it benchmarks single-stream parallel
-// chunking: chunk.Parallel at 1/4/8 workers against the sequential
-// engine for both rabin and fastcdc, every parallel cut checked
-// chunk-for-chunk identical, written as JSON to FILE — the CI
-// artifact BENCH_pchunk.json. With -parallel-chunk N a -dedup-wire
-// client chunks its local streams the same way.
+// With -parallel-chunk N a -dedup-wire client chunks its local streams
+// with chunk.Parallel on N workers (byte-identical boundaries).
 //
-// With -json (any mode but -wire-bench) the progress lines move to
-// stderr and a single end-of-run summary object — streams, logical and
-// stored bytes, dedup ratio, wire savings, retention amplification —
-// is printed as JSON on stdout, for scripts and CI.
+// backupsim is a scenario driver: it verifies behaviour and prints what
+// happened. Performance is measured by the bench/ module.
+//
+// With -json the progress lines move to stderr and a single end-of-run
+// summary object — streams, logical and stored bytes, dedup ratio, wire
+// savings, retention amplification — is printed as JSON on stdout, for
+// scripts and CI.
 //
 // With -trace every operation records a span tree. In the in-process
-// modes (-data, -retention, -wire-bench) client and server share one
+// modes (-data, -retention, -cluster) client and server share one
 // tracer, so each backup renders as a single connected tree — client
 // root, the server's remote-parented operation span under it, and
 // shardstore/persist children (shard puts, WAL appends, fsyncs) below
@@ -81,7 +71,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"shredder/internal/backup"
 	"shredder/internal/chunk"
@@ -171,16 +160,11 @@ func main() {
 	chunkerName := flag.String("chunker", "rabin", "chunking engine to negotiate with -server/-data: rabin (no negotiation, server default) or fastcdc")
 	avgKiB := flag.Int("avg", 4, "fastcdc target chunk size in KiB (power of two), with -chunker=fastcdc")
 	dedupWire := flag.Bool("dedup-wire", false, "with -server/-data: chunk client-side and upload only missing chunk bodies (protocol v3)")
-	wireBench := flag.String("wire-bench", "", "write the raw-vs-dedup wire benchmark (0%/50%/95% redundancy) as JSON to this file and exit")
 	retention := flag.Int("retention", 0, "run the retention scenario: this many generations ingested with the oldest expired and the store compacted each round (uses -data, or a temp dir)")
 	retain := flag.Int("retain", 3, "retention scenario: generations kept live")
 	gcThreshold := flag.Float64("gc-threshold", 0.7, "retention scenario: compact containers whose live fraction is below this after each round")
-	gcJSON := flag.String("gc-json", "", "retention scenario: write per-round GC metrics as JSON to this file (- for stdout)")
 	ampLimit := flag.Float64("amp-limit", 1.5, "retention scenario: fail when final disk bytes exceed this multiple of the live stored bytes (0 disables)")
 	clusterN := flag.Int("cluster", 0, "boot this many in-process shredderd nodes behind a consistent-hash router and run the client series through it")
-	clusterBench := flag.String("cluster-bench", "", "write the 1-node vs N-node (-cluster, default 3) routed ingest benchmark as JSON to this file and exit — the CI artifact BENCH_cluster.json")
-	commitBench := flag.String("commit-bench", "", "write the group-commit WAL benchmark (sessions/sec at fsync always, 1 vs 16 concurrent sessions, commit window off/on) as JSON to this file and exit — the CI artifact BENCH_commit.json")
-	pchunkBench := flag.String("pchunk-bench", "", "write the single-stream parallel-chunking benchmark (chunk.Parallel at 1/4/8 workers vs sequential, byte-identical check) as JSON to this file and exit — the CI artifact BENCH_pchunk.json")
 	parallelChunk := flag.Int("parallel-chunk", 0, "with -dedup-wire: chunk the local stream with this many workers (chunk.Parallel); 0 or 1 sequential, negative all cores")
 	jsonOut := flag.Bool("json", false, "emit a single end-of-run summary object as JSON on stdout (progress lines move to stderr)")
 	trace := flag.Bool("trace", false, "record a span tree per operation and print the trees at end of run (-json adds per-span rollups)")
@@ -194,10 +178,6 @@ func main() {
 	}
 
 	if *jsonOut {
-		if *wireBench != "" {
-			fmt.Fprintln(os.Stderr, "backupsim: -json does not apply to -wire-bench (it has its own JSON output)")
-			os.Exit(2)
-		}
 		human = os.Stderr
 	}
 	finish := func(sum *runSummary, err error) {
@@ -215,8 +195,8 @@ func main() {
 	}
 
 	if *retention > 0 {
-		if *server != "" || *wireBench != "" {
-			fmt.Fprintln(os.Stderr, "backupsim: -retention runs in-process and excludes -server/-wire-bench")
+		if *server != "" {
+			fmt.Fprintln(os.Stderr, "backupsim: -retention runs in-process and excludes -server")
 			os.Exit(2)
 		}
 		sum, err := runRetention(retentionConfig{
@@ -229,60 +209,11 @@ func main() {
 			threshold: *gcThreshold,
 			ampLimit:  *ampLimit,
 			seed:      *seed,
-			jsonPath:  *gcJSON,
 		})
 		finish(sum, err)
 		return
 	}
 
-	if *wireBench != "" {
-		if *server != "" || *data != "" {
-			fmt.Fprintln(os.Stderr, "backupsim: -wire-bench runs in-process and excludes -server/-data")
-			os.Exit(2)
-		}
-		if err := runWireBench(*wireBench, *imageMB<<20, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "backupsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clusterBench != "" {
-		if *server != "" || *data != "" {
-			fmt.Fprintln(os.Stderr, "backupsim: -cluster-bench runs in-process and excludes -server/-data")
-			os.Exit(2)
-		}
-		n := *clusterN
-		if n == 0 {
-			n = 3
-		}
-		if err := runClusterBench(*clusterBench, n, *imageMB<<20, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "backupsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *commitBench != "" {
-		if *server != "" || *data != "" {
-			fmt.Fprintln(os.Stderr, "backupsim: -commit-bench runs in-process and excludes -server/-data")
-			os.Exit(2)
-		}
-		if err := runCommitBench(*commitBench, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "backupsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pchunkBench != "" {
-		if *server != "" || *data != "" {
-			fmt.Fprintln(os.Stderr, "backupsim: -pchunk-bench runs in-process and excludes -server/-data")
-			os.Exit(2)
-		}
-		if err := runPchunkBench(*pchunkBench, *imageMB<<20, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "backupsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *parallelChunk != 0 && !*dedupWire {
 		fmt.Fprintln(os.Stderr, "backupsim: -parallel-chunk only applies with -dedup-wire (the client chunks locally there)")
 		os.Exit(2)
@@ -630,98 +561,6 @@ func printTraces(sum *runSummary) {
 	}
 }
 
-// wireBenchRow is one cell of the raw-vs-dedup transfer matrix.
-type wireBenchRow struct {
-	Redundancy    float64 `json:"redundancy"`
-	Mode          string  `json:"mode"`
-	LogicalBytes  int64   `json:"logical_bytes"`
-	WireBytes     int64   `json:"wire_bytes"`
-	ChunksSent    int64   `json:"chunks_sent"`
-	ChunksSkipped int64   `json:"chunks_skipped"`
-	Seconds       float64 `json:"seconds"`
-	MBPerS        float64 `json:"mb_per_s"`
-}
-
-// runWireBench measures what the two-phase protocol keeps off the
-// wire: for each snapshot redundancy level, a master image and one
-// snapshot are pushed to a fresh in-process server in raw mode and in
-// dedup-wire mode (same stock Rabin spec, so boundaries and dedup
-// accounting match), every stream is verified to restore byte-exactly,
-// and the snapshot's wire cost goes into the JSON matrix at path.
-func runWireBench(path string, size int, seed int64) error {
-	var rows []wireBenchRow
-	for _, redundancy := range []float64{0, 0.5, 0.95} {
-		im := workload.NewImage(seed, size, 64<<10, 1-redundancy)
-		snap := im.Snapshot(seed + 1)
-		for _, mode := range []string{"raw", "dedup"} {
-			srv, err := ingest.NewServer(simConfig())
-			if err != nil {
-				return err
-			}
-			c := dialInProcess(srv)
-			dedupWire := mode == "dedup"
-			if dedupWire {
-				if _, err := c.NegotiateDedup(ingest.DefaultConfig().Shredder.Chunking); err != nil {
-					c.Close()
-					return err
-				}
-			}
-			push := func(name string, data []byte) (*ingest.StreamStats, error) {
-				if dedupWire {
-					return c.BackupDedupBytes(name, data)
-				}
-				return c.BackupBytes(name, data)
-			}
-			if _, err := push("master", im.Master); err != nil {
-				c.Close()
-				return err
-			}
-			start := time.Now()
-			st, err := push("snapshot", snap)
-			if err != nil {
-				c.Close()
-				return err
-			}
-			elapsed := time.Since(start)
-			for name, want := range map[string][]byte{"master": im.Master, "snapshot": snap} {
-				if err := c.Verify(name, want); err != nil {
-					c.Close()
-					return fmt.Errorf("%s %.0f%% redundancy: %w", mode, redundancy*100, err)
-				}
-			}
-			c.Close()
-			rows = append(rows, wireBenchRow{
-				Redundancy:    redundancy,
-				Mode:          mode,
-				LogicalBytes:  st.Wire.LogicalBytes,
-				WireBytes:     st.Wire.WireBytes,
-				ChunksSent:    st.Wire.ChunksSent,
-				ChunksSkipped: st.Wire.ChunksSkipped,
-				Seconds:       elapsed.Seconds(),
-				MBPerS:        float64(st.Wire.LogicalBytes) / (1 << 20) / elapsed.Seconds(),
-			})
-			fmt.Fprintf(human, "redundancy %.0f%% %-5s: snapshot wire %s of %s (%.1f%%), %d bodies sent, %d skipped\n",
-				redundancy*100, mode, stats.Bytes(st.Wire.WireBytes), stats.Bytes(st.Wire.LogicalBytes),
-				float64(st.Wire.WireBytes)/float64(st.Wire.LogicalBytes)*100,
-				st.Wire.ChunksSent, st.Wire.ChunksSkipped)
-		}
-	}
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(human, "wrote %s\n", path)
-	return nil
-}
-
 // retentionConfig parameterizes the retention scenario.
 type retentionConfig struct {
 	dir       string // data directory; empty means a temp dir
@@ -733,23 +572,6 @@ type retentionConfig struct {
 	threshold float64 // compaction live-fraction threshold
 	ampLimit  float64 // max allowed disk/live amplification (0: off)
 	seed      int64
-	jsonPath  string
-}
-
-// gcBenchRow is one retention round's metrics — the BENCH_gc.json
-// schema.
-type gcBenchRow struct {
-	Generation     int     `json:"generation"`
-	LiveStreams    int     `json:"live_streams"`
-	LogicalBytes   int64   `json:"logical_bytes"`
-	StoredBytes    int64   `json:"stored_bytes"`
-	DiskBytes      int64   `json:"disk_bytes"`
-	Amplification  float64 `json:"amplification"`
-	FreedBytes     int64   `json:"freed_bytes"`
-	ReclaimedBytes int64   `json:"reclaimed_bytes"`
-	MovedBytes     int64   `json:"moved_bytes"`
-	CompactSecs    float64 `json:"compact_seconds"`
-	CompactMBPerS  float64 `json:"compact_mb_per_s"`
 }
 
 // churn mutates the previous generation: each segment is replaced with
@@ -835,7 +657,8 @@ func runRetention(cfg retentionConfig) (*runSummary, error) {
 		data []byte
 	}
 	var live []gen
-	var rows []gcBenchRow
+	// The last round's footprint: what the run reports and asserts on.
+	var stored, disk int64
 	data := workload.Random(cfg.seed, cfg.size)
 	for g := 1; g <= cfg.gens; g++ {
 		if g > 1 {
@@ -860,46 +683,23 @@ func runRetention(cfg retentionConfig) (*runSummary, error) {
 			}
 			freed = ds.BytesFreed
 		}
-		start := time.Now()
 		cs, err := store.Compact(cfg.threshold)
 		if err != nil {
 			return nil, fmt.Errorf("compact after %s: %w", name, err)
 		}
-		compactSecs := time.Since(start).Seconds()
 
 		for _, lg := range live {
 			if err := c.Verify(lg.name, lg.data); err != nil {
 				return nil, fmt.Errorf("round %d, %s: %w", g, lg.name, err)
 			}
 		}
-		disk, err := diskUsage(dir)
-		if err != nil {
+		if disk, err = diskUsage(dir); err != nil {
 			return nil, err
 		}
-		var logical int64
-		for _, lg := range live {
-			logical += int64(len(lg.data))
-		}
-		stored := store.Stats().StoredBytes
-		row := gcBenchRow{
-			Generation:     g,
-			LiveStreams:    len(live),
-			LogicalBytes:   logical,
-			StoredBytes:    stored,
-			DiskBytes:      disk,
-			Amplification:  float64(disk) / float64(stored),
-			FreedBytes:     freed,
-			ReclaimedBytes: cs.ReclaimedBytes,
-			MovedBytes:     cs.MovedBytes,
-			CompactSecs:    compactSecs,
-		}
-		if compactSecs > 0 {
-			row.CompactMBPerS = float64(cs.MovedBytes+cs.ReclaimedBytes) / (1 << 20) / compactSecs
-		}
-		rows = append(rows, row)
+		stored = store.Stats().StoredBytes
 		fmt.Fprintf(human, "%s: wire %s of %s; live %d streams, %s stored, %s on disk (amp %.2fx); gc freed %s, reclaimed %s\n",
 			name, stats.Bytes(st.Wire.WireBytes), stats.Bytes(st.Wire.LogicalBytes),
-			len(live), stats.Bytes(stored), stats.Bytes(disk), row.Amplification,
+			len(live), stats.Bytes(stored), stats.Bytes(disk), float64(disk)/float64(stored),
 			stats.Bytes(freed), stats.Bytes(cs.ReclaimedBytes))
 	}
 
@@ -924,35 +724,19 @@ func runRetention(cfg retentionConfig) (*runSummary, error) {
 			return nil, fmt.Errorf("after restart, %s: %w", lg.name, err)
 		}
 	}
-	final := rows[len(rows)-1]
-	st := store.Stats()
+	amp := float64(disk) / float64(stored)
 	sum.Generations = cfg.gens
 	sum.Retained = len(live)
-	sum.LogicalBytes = final.LogicalBytes
-	sum.StoredBytes = final.StoredBytes
-	sum.DedupRatio = st.Ratio()
-	sum.Amplification = final.Amplification
-	fmt.Fprintf(human, "retention done: %d generations, %d retained and restart-verified; final amp %.2fx (%s disk / %s live)\n",
-		cfg.gens, len(live), final.Amplification, stats.Bytes(final.DiskBytes), stats.Bytes(final.StoredBytes))
-
-	if cfg.jsonPath != "" {
-		out, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, '\n')
-		if cfg.jsonPath == "-" {
-			if _, err := os.Stdout.Write(out); err != nil {
-				return nil, err
-			}
-		} else if err := os.WriteFile(cfg.jsonPath, out, 0o644); err != nil {
-			return nil, err
-		} else {
-			fmt.Fprintf(human, "wrote %s\n", cfg.jsonPath)
-		}
+	for _, lg := range live {
+		sum.LogicalBytes += int64(len(lg.data))
 	}
-	if cfg.ampLimit > 0 && final.Amplification > cfg.ampLimit {
-		return nil, fmt.Errorf("space amplification %.2fx exceeds the %.2fx limit", final.Amplification, cfg.ampLimit)
+	sum.StoredBytes = stored
+	sum.DedupRatio = store.Stats().Ratio()
+	sum.Amplification = amp
+	fmt.Fprintf(human, "retention done: %d generations, %d retained and restart-verified; final amp %.2fx (%s disk / %s live)\n",
+		cfg.gens, len(live), amp, stats.Bytes(disk), stats.Bytes(stored))
+	if cfg.ampLimit > 0 && amp > cfg.ampLimit {
+		return nil, fmt.Errorf("space amplification %.2fx exceeds the %.2fx limit", amp, cfg.ampLimit)
 	}
 	return sum, nil
 }

@@ -1,8 +1,8 @@
-// Command shredbench regenerates every measured table and figure of
+// Command papertables regenerates every measured table and figure of
 // the Shredder paper (FAST 2012). Run it with no arguments to produce
 // the full evaluation, or name specific experiments:
 //
-//	shredbench [flags] [table1 fig3 fig5 fig6 table2 fig9 fig11 fig12 fig15 fig18]
+//	papertables [flags] [table1 fig3 fig5 fig6 table2 fig9 fig11 fig12 fig15 fig18]
 //
 // Flags:
 //
@@ -42,7 +42,7 @@ func main() {
 	}
 	for _, name := range names {
 		if err := run(name, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "shredbench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "papertables: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 	}

@@ -1,7 +1,7 @@
 // Command shredderd is the Shredder ingest daemon: a consolidated
 // chunk-and-dedup service (§7's cloud-backup server, made concurrent).
 // Clients stream raw data over TCP; the daemon chunks each stream with
-// the Shredder pipeline, dedups it in batches against a sharded
+// the session's chunking engine, dedups it in batches against a sharded
 // fingerprint index shared by every session, and reports per-stream
 // dedup statistics. cmd/backupsim -server is a ready-made client.
 //
@@ -42,7 +42,7 @@
 // -fsync always into one group commit per window, every session still
 // acked only after the fsync covering its records really returned.
 //
-//	shredderd [-addr :9323] [-admin :7071] [-shards N] [-batch N] [-buffer MiB]
+//	shredderd [-addr :9323] [-admin :7071] [-shards N] [-batch N]
 //	          [-chunker rabin|fastcdc] [-avg KiB] [-minchunk KiB] [-maxchunk KiB]
 //	          [-dedup-wire=true|false] [-parallel-chunk N]
 //	          [-data DIR] [-fsync always|never|interval[=D]] [-commit-window D]
@@ -78,7 +78,6 @@ func main() {
 	admin := flag.String("admin", ":7071", "admin HTTP address for /metrics, /healthz, /readyz, /statusz and pprof (empty: disabled)")
 	shards := flag.Int("shards", 16, "store shard count (power of two)")
 	batch := flag.Int("batch", 64, "chunks per has/put batch")
-	buffer := flag.Int("buffer", 4, "per-session pipeline buffer in MiB")
 	chunkerName := flag.String("chunker", "rabin", "default chunking engine for sessions that skip negotiation: rabin or fastcdc")
 	avgKiB := flag.Int("avg", 4, "target average chunk size in KiB (power of two)")
 	minKiB := flag.Int("minchunk", 0, "minimum chunk size in KiB (0: engine default)")
@@ -121,7 +120,6 @@ func main() {
 	cfg := ingest.DefaultConfig()
 	cfg.Shards = *shards
 	cfg.BatchSize = *batch
-	cfg.Shredder.BufferSize = *buffer << 20
 	cfg.Obs = reg
 	cfg.Logger = logger
 	cfg.Tracer = tracer
@@ -308,8 +306,7 @@ func main() {
 	}
 
 	logger.Info("listening", "addr", l.Addr().String(), "shards", *shards,
-		"batch", *batch, "buffer_mib", *buffer,
-		"engine", cfg.Shredder.Chunking.Algo.String())
+		"batch", *batch, "engine", cfg.Shredder.Chunking.Algo.String())
 	if err := srv.Serve(l); err != nil && !errors.Is(err, net.ErrClosed) {
 		fatal(err)
 	}

@@ -17,10 +17,12 @@
 //     internal/sim — the simulated device/host substrate (this machine
 //     has no GPU: boundaries and hashes are computed for real, only
 //     device, PCIe and SAN timing is modelled)
-//   - internal/core — the Shredder pipeline itself; with HostWorkers
-//     set it chunks on many cores via chunk.Parallel (region scans
-//     with window warmup, seam fixup, byte-identical output — the
-//     paper's multicore baseline, lifted onto the engine API)
+//   - internal/core — the Shredder pipeline itself, in simulated time
+//     (the paper reproduction uses it; the live service does not);
+//     with HostWorkers set it chunks on many cores via chunk.Parallel
+//     (region scans with window warmup, seam fixup, byte-identical
+//     output — the paper's multicore baseline, lifted onto the engine
+//     API)
 //   - internal/dedup — the single-goroutine reference dedup store
 //   - internal/shardstore — the sharded, lock-striped, concurrency-safe
 //     chunk store (byte-identical ingest semantics to internal/dedup,
@@ -44,9 +46,9 @@
 //     negotiation of protocol version and chunking engine
 //     (Hello/Accept frames carrying a chunk.Spec; non-negotiating
 //     legacy clients keep the Rabin defaults byte-for-byte), typed
-//     protocol errors, a server that chunks raw client streams with
-//     the core pipeline and dedups them in batches against one shared
-//     shardstore, and the matching client Session. Protocol version 3
+//     protocol errors, a server that writes raw client streams frame
+//     by frame into the session's chunk.Engine stream and dedups the
+//     chunks in batches against one shared shardstore, and the matching client Session. Protocol version 3
 //     adds two-phase content-addressed ingest — the client chunks
 //     locally, ships HasBatch fingerprint frames, and uploads only
 //     the bodies the server's NeedBatch answer reports missing, the
@@ -81,11 +83,11 @@
 // -gc-threshold run background container compaction for retention
 // churn) and cmd/backupsim -server is its client (-data instead runs
 // the restart round-trip locally; -dedup-wire switches either mode to
-// client-side matching; -wire-bench emits the raw-vs-dedup transfer
-// matrix as JSON; -retention runs the expire-oldest/compact scenario
-// and enforces the 1.5x space-amplification bound; -cluster N boots
-// an in-process routed cluster and -cluster-bench measures 1-vs-N-node
-// aggregate ingest). cmd/shredrouter serves the same client protocol
+// client-side matching; -retention runs the expire-oldest/compact
+// scenario and enforces the 1.5x space-amplification bound; -cluster N
+// boots an in-process routed cluster). Performance is measured by the
+// bench/ module (BENCHMARK.json), not by these scenario drivers.
+// cmd/shredrouter serves the same client protocol
 // in front of a static N-node topology, routing streams by chunk
 // ownership on the internal/cluster ring.
 //
@@ -97,6 +99,6 @@
 // for the rules and the //lint:allow suppression syntax. The
 // benchmarks in bench_test.go
 // wrap internal/experiments so that `go test -bench=.` reproduces the
-// paper's entire evaluation; the cmd/shredbench binary prints the same
+// paper's entire evaluation; the cmd/papertables binary prints the same
 // tables interactively.
 package shredder

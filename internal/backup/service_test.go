@@ -14,7 +14,6 @@ import (
 // inside MultiVM).
 func TestServiceMultiVM(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Shredder.BufferSize = 2 << 20
 	cfg.BufferSize = 2 << 20
 
 	golden := workload.NewImage(100, 8<<20, 64<<10, 0.05)
@@ -69,7 +68,6 @@ func TestServiceMultiVM(t *testing.T) {
 // statistics show near-identical snapshots mostly skipped the wire.
 func TestServiceMultiVMDedup(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Shredder.BufferSize = 2 << 20
 	cfg.BufferSize = 2 << 20
 
 	golden := workload.NewImage(100, 4<<20, 64<<10, 0.05)
@@ -139,7 +137,6 @@ func TestServiceMultiVMDedup(t *testing.T) {
 // shrinks the stored footprint, and the surviving streams restore.
 func TestServiceExpireCompact(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Shredder.BufferSize = 2 << 20
 	cfg.BufferSize = 2 << 20
 
 	golden := workload.NewImage(100, 2<<20, 64<<10, 0.5)

@@ -1,6 +1,6 @@
 // Package experiments regenerates every measured table and figure of
 // the paper (Table 1, Table 2, Figures 3, 5, 6, 9, 11, 12, 15, 18).
-// Each experiment returns typed rows plus a renderer; cmd/shredbench
+// Each experiment returns typed rows plus a renderer; cmd/papertables
 // prints them and the repository-level benchmarks wrap them, so the
 // whole evaluation is reproducible from one place.
 //

@@ -12,11 +12,11 @@ import (
 	"shredder/internal/workload"
 )
 
-// testConfig shrinks the per-session pipeline for fast tests.
+// testConfig is the service default with the given shard count and
+// smaller store batches, so short test streams still flush several.
 func testConfig(shards int) Config {
 	cfg := DefaultConfig()
 	cfg.Shards = shards
-	cfg.Shredder.BufferSize = 1 << 20
 	cfg.BatchSize = 32
 	return cfg
 }
@@ -262,7 +262,6 @@ func TestEmptyStream(t *testing.T) {
 // larger than one frame; restore must split them rather than fail.
 func TestRestoreOversizedChunk(t *testing.T) {
 	cfg := testConfig(4)
-	cfg.Shredder.BufferSize = 4 << 20
 	// A 30-bit mask over random data effectively never matches: the
 	// whole stream becomes one chunk at finish time.
 	cfg.Shredder.Chunking.MaskBits = 30

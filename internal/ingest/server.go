@@ -24,9 +24,12 @@ type Config struct {
 	// (0 means the shardstore defaults).
 	Shards        int
 	ContainerSize int64
-	// Shredder configures the per-session chunking pipeline. Each
-	// session owns one core.Shredder (the pipeline handles one stream
-	// at a time); sessions run concurrently against the shared store.
+	// Shredder configures how raw streams are cut. The server reads two
+	// fields: Chunking (the engine sessions that never negotiate cut
+	// with) and HostWorkers (> 1 or negative wraps every session engine
+	// in chunk.Parallel). The simulated-GPU pipeline the rest of
+	// core.Config describes is not on the serving path; the field keeps
+	// that type solely because the bench/ module reads it.
 	Shredder core.Config
 	// BatchSize is how many chunks the server accumulates before one
 	// batched has/put round against the store (0 means 64). Larger
@@ -62,12 +65,10 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// DefaultConfig returns a service configuration: the paper's
-// full-optimization pipeline with backup-study chunk limits, 4 MB
-// buffers (per session), and 16 shards.
+// DefaultConfig returns a service configuration: the paper's Rabin
+// chunking with backup-study chunk limits, and 16 shards.
 func DefaultConfig() Config {
 	sc := core.DefaultConfig()
-	sc.BufferSize = 4 << 20
 	sc.Chunking.MaskBits = 12
 	sc.Chunking.Marker = 1<<12 - 1
 	sc.Chunking.MinSize = 2 << 10
@@ -82,6 +83,7 @@ func DefaultConfig() Config {
 // (internal/persist) carries them across a restart.
 type Server struct {
 	cfg   Config
+	eng   chunk.Engine // cuts the raw streams of sessions that never negotiate
 	store *shardstore.Store
 	met   *serverMetrics // nil when cfg.Obs is nil
 	seq   atomic.Uint64  // session id source
@@ -90,6 +92,24 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
+}
+
+// newEngine builds the engine spec describes, cutting large streams on
+// cfg.Shredder.HostWorkers cores when that asks for more than one.
+// Engines are safe for concurrent use, and the parallel chunker's
+// metric families register idempotently per registry, so every
+// session's engine aggregates into the same counters.
+func newEngine(cfg Config, spec chunk.Spec) (chunk.Engine, error) {
+	eng, err := chunk.New(spec)
+	if err != nil {
+		return nil, err
+	}
+	if w := cfg.Shredder.HostWorkers; w > 1 || w < 0 {
+		p := chunk.NewParallel(eng, w)
+		p.Instrument(cfg.Obs)
+		return p, nil
+	}
+	return eng, nil
 }
 
 // NewServer builds a server around a fresh in-memory store.
@@ -112,8 +132,8 @@ func NewServerWithStore(cfg Config, store *shardstore.Store) (*Server, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 64
 	}
-	// Fail fast on a bad pipeline config rather than on first session.
-	if _, err := core.New(cfg.Shredder); err != nil {
+	eng, err := newEngine(cfg, cfg.Shredder.Chunking)
+	if err != nil {
 		return nil, err
 	}
 	// One registry serves one store: Instrument is idempotent against
@@ -121,6 +141,7 @@ func NewServerWithStore(cfg Config, store *shardstore.Store) (*Server, error) {
 	store.Instrument(cfg.Obs)
 	return &Server{
 		cfg:   cfg,
+		eng:   eng,
 		store: store,
 		met:   newServerMetrics(cfg.Obs),
 		conns: make(map[net.Conn]struct{}),
@@ -200,12 +221,11 @@ func (s *Server) Shutdown(grace time.Duration) {
 }
 
 // ServeConn runs one client session to completion: any number of
-// backup and restore operations, until the peer disconnects. Each
-// session gets its own chunking pipeline — the server default until a
-// Hello negotiates a different engine; the store is shared either way.
-// A session that negotiates version ≥ 3 may also run two-phase dedup
-// backups, which skip the server pipeline entirely (the client
-// chunked).
+// backup and restore operations, until the peer disconnects. Raw
+// streams are cut with the server's default engine until a Hello
+// negotiates a different one; the store is shared either way. A
+// session that negotiates version ≥ 3 may also run two-phase dedup
+// backups, which the server never chunks (the client did).
 func (s *Server) ServeConn(conn net.Conn) error {
 	s.met.sessionStart()
 	var sl *slog.Logger
@@ -236,12 +256,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 // serveSession is ServeConn's frame loop, returning the negotiated
 // protocol version alongside the session's fate.
 func (s *Server) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
-	// The session pipeline is built lazily: sessions that negotiate
-	// never pay for the default engine (fingerprint table, kernel
-	// model, staging memory), and restore-only or dedup-only sessions
-	// never build one at all. NewServerWithStore already validated the
-	// default config, so a late core.New failure is exceptional.
-	var shred *core.Shredder
+	eng := s.eng
 	var ver byte // negotiated protocol version; 0 = legacy raw session
 	br := bufio.NewReaderSize(conn, 256<<10)
 	bw := bufio.NewWriterSize(conn, 256<<10)
@@ -258,7 +273,7 @@ func (s *Server) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
 		buf = payload[:cap(payload)]
 		switch typ {
 		case MsgHello:
-			ns, spec, nver, ctx, nerr := s.negotiate(payload)
+			neng, spec, nver, ctx, nerr := s.negotiate(payload)
 			if nerr != nil {
 				// A rejected negotiation is fatal to the session: the
 				// client's next frames would be cut with an engine it
@@ -273,7 +288,7 @@ func (s *Server) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
 				_ = bw.Flush()
 				return ver, nerr
 			}
-			shred, ver = ns, nver
+			eng, ver = neng, nver
 			sp := s.span("negotiate", ctx, obs.Int("protocol", int64(ver)))
 			if sl != nil {
 				sl.Debug("session negotiated", "protocol", ver,
@@ -288,15 +303,8 @@ func (s *Server) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
 				return ver, err
 			}
 		case MsgBegin:
-			if shred == nil {
-				var err error
-				if shred, err = core.New(s.cfg.Shredder); err != nil {
-					return ver, err
-				}
-				s.instrumentChunking(shred)
-			}
 			sp := s.span("backup", obs.SpanContext{}, obs.Str("recipe", string(payload)))
-			err := s.handleBackup(string(payload), ver, shred, br, bw, sl, sp)
+			err := s.handleBackup(string(payload), ver, eng, br, bw, sl, sp)
 			sp.End()
 			if err != nil {
 				return ver, err
@@ -360,12 +368,12 @@ func (s *Server) span(name string, ctx obs.SpanContext, attrs ...obs.Attr) *obs.
 	return s.cfg.Tracer.StartRemote(name, ctx, attrs...)
 }
 
-// negotiate validates a Hello payload and builds the session pipeline
-// it describes, returning the pipeline, the accepted spec, the agreed
+// negotiate validates a Hello payload and builds the session engine
+// it describes, returning the engine, the accepted spec, the agreed
 // protocol version and the client's trace context (zero below v4).
 // Failures come back as *NegotiationError with the reason the client
 // will see.
-func (s *Server) negotiate(payload []byte) (*core.Shredder, chunk.Spec, byte, obs.SpanContext, error) {
+func (s *Server) negotiate(payload []byte) (chunk.Engine, chunk.Spec, byte, obs.SpanContext, error) {
 	version, spec, ctx, err := decodeHello(payload)
 	if err != nil {
 		return nil, chunk.Spec{}, 0, ctx, &NegotiationError{Reason: err.Error()}
@@ -391,83 +399,64 @@ func (s *Server) negotiate(payload []byte) (*core.Shredder, chunk.Spec, byte, ob
 			Reason: "dedup sessions need a bounded max chunk size within the frame limit",
 		}
 	}
-	cc := s.cfg.Shredder
-	cc.Chunking = spec
-	shred, err := core.New(cc)
+	eng, err := newEngine(s.cfg, spec)
 	if err != nil {
 		return nil, chunk.Spec{}, 0, ctx, &NegotiationError{Reason: err.Error()}
 	}
-	return s.instrumentChunking(shred), spec, version, ctx, nil
+	return eng, spec, version, ctx, nil
 }
 
-// instrumentChunking registers the parallel host chunker's metric
-// families when the session pipeline cuts with one. Registration is
-// idempotent per registry, so every session aggregates into the same
-// counters; a nil registry is a no-op.
-func (s *Server) instrumentChunking(shred *core.Shredder) *core.Shredder {
-	if p, ok := shred.Engine().(*chunk.Parallel); ok {
-		p.Instrument(s.cfg.Obs)
-	}
-	return shred
-}
-
-// streamReader adapts the session's incoming Data frames into an
-// io.Reader for the chunking pipeline, stopping at the End frame.
-type streamReader struct {
-	r     *bufio.Reader
-	met   *serverMetrics // nil ok
-	buf   []byte         // frame buffer, reused across frames
-	frame []byte         // unconsumed tail of the current Data payload
-	done  bool
+// rawStream reads one raw backup stream off the session: Data frames
+// up to the End frame.
+type rawStream struct {
+	r    *bufio.Reader
+	met  *serverMetrics // nil ok
+	buf  []byte         // frame buffer, reused across frames
+	done bool           // the End frame has been read
 	// broken is set when the stream itself violated the protocol
 	// (truncation, bad frame): the connection is desynchronized and
 	// must not be drained further.
 	broken bool
 }
 
-func (sr *streamReader) Read(p []byte) (int, error) {
-	for len(sr.frame) == 0 {
-		if sr.done {
-			return 0, io.EOF
-		}
-		typ, payload, err := readFrame(sr.r, sr.buf)
-		if err != nil {
-			if err == io.EOF {
-				// The peer closed on a frame boundary but never sent
-				// End: the stream is truncated, not complete. A bare
-				// io.EOF here would make the pipeline treat the
-				// partial stream as a successful backup.
-				err = &TruncatedError{Context: "backup stream before End frame", Cause: io.ErrUnexpectedEOF}
-			}
-			sr.broken = true
-			return 0, err
-		}
-		sr.met.frame(typ)
-		if cap(payload) > cap(sr.buf) {
-			sr.buf = payload[:cap(payload)]
-		}
-		switch typ {
-		case MsgData:
-			sr.frame = payload
-		case MsgEnd:
-			sr.done = true
-			return 0, io.EOF
-		default:
-			sr.broken = true
-			return 0, &UnexpectedFrameError{Type: typ, Context: "backup stream"}
-		}
+// next returns the next Data payload — a view into the frame buffer,
+// valid until the following call — or io.EOF once the End frame has
+// been read.
+func (rs *rawStream) next() ([]byte, error) {
+	if rs.done {
+		return nil, io.EOF
 	}
-	n := copy(p, sr.frame)
-	sr.frame = sr.frame[n:]
-	return n, nil
+	typ, payload, err := readFrame(rs.r, rs.buf)
+	if err != nil {
+		if err == io.EOF {
+			// The peer closed on a frame boundary but never sent End:
+			// the stream is truncated, not complete. A bare io.EOF here
+			// would pass the partial stream off as a successful backup.
+			err = &TruncatedError{Context: "backup stream before End frame", Cause: io.ErrUnexpectedEOF}
+		}
+		rs.broken = true
+		return nil, err
+	}
+	rs.met.frame(typ)
+	rs.buf = payload[:cap(payload)]
+	switch typ {
+	case MsgData:
+		return payload, nil
+	case MsgEnd:
+		rs.done = true
+		return nil, io.EOF
+	default:
+		rs.broken = true
+		return nil, &UnexpectedFrameError{Type: typ, Context: "backup stream"}
+	}
 }
 
 // drain consumes the remainder of a stream after a server-side error so
 // the client can finish writing and read our Error frame (required for
 // unbuffered transports like net.Pipe).
-func (sr *streamReader) drain() {
-	for !sr.done {
-		if _, err := sr.Read(make([]byte, 64<<10)); err != nil {
+func (rs *rawStream) drain() {
+	for {
+		if _, err := rs.next(); err != nil {
 			return
 		}
 	}
@@ -478,9 +467,9 @@ func (sr *streamReader) drain() {
 // is committed (durably, when the store's backing is) before the
 // MsgStats ack goes out: a stream the client saw acknowledged survives
 // a server restart.
-func (s *Server) handleBackup(name string, ver byte, shred *core.Shredder, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
-	sr := &streamReader{r: br, met: s.met}
-	st, recipe, err := s.ingest(shred, sr, sp)
+func (s *Server) handleBackup(name string, ver byte, eng chunk.Engine, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
+	rs := &rawStream{r: br, met: s.met}
+	st, recipe, err := s.ingest(eng, rs, sp)
 	if err == nil {
 		c := sp.Child("commit", obs.Int("chunks", int64(len(recipe))))
 		t0 := time.Now()
@@ -501,8 +490,8 @@ func (s *Server) handleBackup(name string, ver byte, shred *core.Shredder, br *b
 		// the stream itself broke protocol the connection is
 		// desynchronized — draining would block on a peer that may
 		// never send another frame, so abort immediately instead.
-		if !sr.broken {
-			sr.drain()
+		if !rs.broken {
+			rs.drain()
 		}
 		if werr := writeFrame(bw, MsgError, []byte(err.Error())); werr == nil {
 			_ = bw.Flush()
@@ -767,9 +756,10 @@ func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *
 	}
 }
 
-// ingest chunks one stream and dedups it against the shared store in
+// ingest chunks one stream — each Data payload written straight into
+// the engine's stream — and dedups it against the shared store in
 // BatchSize batches, returning the stream stats and its recipe.
-func (s *Server) ingest(shred *core.Shredder, r io.Reader, sp *obs.Span) (StreamStats, shardstore.Recipe, error) {
+func (s *Server) ingest(eng chunk.Engine, rs *rawStream, sp *obs.Span) (StreamStats, shardstore.Recipe, error) {
 	var st StreamStats
 	var recipe shardstore.Recipe
 	batch := make([][]byte, 0, s.cfg.BatchSize)
@@ -800,19 +790,31 @@ func (s *Server) ingest(shred *core.Shredder, r io.Reader, sp *obs.Span) (Stream
 		batch = batch[:0]
 		return nil
 	}
-	_, err := shred.ChunkReader(r, func(c chunk.Chunk, data []byte) error {
-		// data is a view into the pipeline's reused buffer: copy before
-		// holding it across the batch boundary.
+	stm := eng.Stream(func(c chunk.Chunk, data []byte) error {
+		// data is only valid for the call: copy before holding it
+		// across the batch boundary.
 		batch = append(batch, append([]byte(nil), data...))
 		if len(batch) >= s.cfg.BatchSize {
 			return flush()
 		}
 		return nil
 	})
-	if err != nil {
-		// The partial recipe goes back even on error: it lists exactly
-		// the references the flushed batches applied, which the caller
-		// releases when the stream cannot commit.
+	// The partial recipe goes back even on error: it lists exactly the
+	// references the flushed batches applied, which the caller releases
+	// when the stream cannot commit.
+	for {
+		payload, err := rs.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return StreamStats{}, recipe, err
+		}
+		if _, err := stm.Write(payload); err != nil {
+			return StreamStats{}, recipe, err
+		}
+	}
+	if err := stm.Close(); err != nil {
 		return StreamStats{}, recipe, err
 	}
 	if err := flush(); err != nil {

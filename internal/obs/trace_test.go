@@ -389,6 +389,29 @@ func TestRegisterBuildInfo(t *testing.T) {
 	}
 }
 
+// TestDisabledTracingAllocatesNothing is the gate behind "nil means no
+// overhead beyond a nil check": the instrumentation every layer calls
+// unconditionally must not allocate when tracing and metrics are off —
+// a nil *Span's child/set/end, and ObserveSince on the histogram a nil
+// registry hands out.
+func TestDisabledTracingAllocatesNothing(t *testing.T) {
+	var tr *Tracer
+	if n := testing.AllocsPerRun(100, func() {
+		sp := tr.StartRoot("op")
+		c := sp.Child("stage", Int("i", 1))
+		c.Set(Int("n", 1))
+		c.End()
+		sp.End()
+	}); n != 0 {
+		t.Errorf("nil-span child/set/end allocates %v times per run", n)
+	}
+	var reg *Registry
+	h := reg.Histogram("off_seconds", "off", nil)
+	if n := testing.AllocsPerRun(100, func() { h.ObserveSince(time.Now()) }); n != 0 {
+		t.Errorf("nil-registry ObserveSince allocates %v times per run", n)
+	}
+}
+
 // BenchmarkSpanDisabled is the nil-tracer hot path: the cost a fully
 // instrumented call tree pays when tracing is off must stay at a few
 // nil checks (0 allocs).

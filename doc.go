@@ -69,9 +69,11 @@
 //     (under the reserved ".cluster/" namespace). Restores
 //     re-interleave per-owner streams in manifest order, verifying
 //     each chunk's fingerprint; deletes fan out as node-owned
-//     refcount decrements, so single-node GC is untouched. Router,
+//     refcount decrements, so single-node GC is untouched. The
+//     router is internal/ingest's wire front end over the cluster as
+//     its back end — the protocol state machine exists once — with
 //     pooled per-node sessions with dial retry, per-node metrics and
-//     remote-parented spans included
+//     remote-parented spans behind it
 //   - internal/hdfs, internal/mapreduce, internal/backup — the two
 //     case studies (Inc-HDFS + Incoop, cloud backup); backup.Service
 //     runs the multi-VM experiment through the service path
@@ -87,9 +89,10 @@
 // scenario and enforces the 1.5x space-amplification bound; -cluster N
 // boots an in-process routed cluster). Performance is measured by the
 // bench/ module (BENCHMARK.json), not by these scenario drivers.
-// cmd/shredrouter serves the same client protocol
-// in front of a static N-node topology, routing streams by chunk
-// ownership on the internal/cluster ring.
+// cmd/shredrouter serves the same client protocol — the same
+// ingest.Frontend, over a cluster instead of a store — in front of a
+// static N-node topology, routing streams by chunk ownership on the
+// internal/cluster ring.
 //
 // The store's invariants are enforced mechanically: tools/shredlint
 // (its own dependency-free module) is a custom static-analysis suite

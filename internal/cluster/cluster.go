@@ -29,8 +29,10 @@
 // benign) and removes the manifest last.
 //
 // RoutedSession exposes this as a drop-in Session-shaped API for
-// in-process callers; Router serves it to ordinary network clients on
-// the unchanged wire protocol (cmd/shredrouter is the daemon).
+// in-process callers; NewRouter serves it to ordinary network clients
+// by putting internal/ingest's wire front end — the one shredderd
+// runs — over the cluster as its back end (cmd/shredrouter is the
+// daemon).
 package cluster
 
 import (
@@ -150,7 +152,8 @@ type Config struct {
 	Dial ingest.DialOptions
 	// MaxIdlePerNode bounds the warm sessions kept per node (0: 2).
 	MaxIdlePerNode int
-	// Obs, when set, registers the routing metrics there.
+	// Obs, when set, registers the routing metrics there (and, under a
+	// router, the front end's ingest_* families).
 	Obs *obs.Registry
 	// Tracer, when set, records router-side spans, remote-parented
 	// under the client's when one arrives on the wire.
@@ -167,6 +170,7 @@ type Cluster struct {
 	spec   chunk.Spec
 	eng    chunk.Engine
 	pools  []*ingest.SessionPool
+	obs    *obs.Registry
 	tracer *obs.Tracer
 	log    *slog.Logger
 	met    *metrics
@@ -186,8 +190,8 @@ func New(cfg Config) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.MaxSize <= 0 || spec.MaxSize > ingest.DefaultFrameSize {
-		return nil, fmt.Errorf("cluster: max chunk size %d outside (0, %d]: restore re-interleaves node streams at frame granularity, so chunks must fit one frame", spec.MaxSize, ingest.DefaultFrameSize)
+	if err := vetSpec(spec); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	eng, err := chunk.New(spec)
 	if err != nil {
@@ -197,6 +201,7 @@ func New(cfg Config) (*Cluster, error) {
 		ring:   ring,
 		spec:   spec,
 		eng:    eng,
+		obs:    cfg.Obs,
 		tracer: cfg.Tracer,
 		log:    cfg.Logger,
 		met:    newMetrics(cfg.Obs, cfg.Topology),

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
-	"shredder/internal/ingest"
 	"shredder/internal/obs"
 )
 
@@ -12,14 +10,13 @@ import (
 var streamOps = []string{"backup", "backup_dedup", "restore", "delete"}
 
 // metrics holds the routing layer's pre-resolved metric handles,
-// per-node families indexed by topology position. A nil *metrics (no
-// registry) makes every method a no-op.
+// per-node families indexed by topology position. A router's client
+// sessions, frames and protocol errors are the front end's to count
+// (the ingest_* families). A nil *metrics (no registry) makes every
+// method a no-op.
 type metrics struct {
-	sessionsActive *obs.Gauge
-	sessionsTotal  [ingest.ProtocolVersion + 1]*obs.Counter // by negotiated version; 0 = legacy raw
-	frames         *obs.Counter
-	streams        map[string]*obs.Counter
-	logicalBytes   *obs.Counter
+	streams      map[string]*obs.Counter
+	logicalBytes *obs.Counter
 
 	nodeUp       []*obs.Gauge
 	nodeTx       []*obs.Counter
@@ -34,18 +31,9 @@ func newMetrics(reg *obs.Registry, t Topology) *metrics {
 		return nil
 	}
 	m := &metrics{
-		sessionsActive: reg.Gauge("cluster_sessions_active",
-			"Client sessions the router is currently serving."),
-		frames: reg.Counter("cluster_routed_frames_total",
-			"Protocol frames received from clients and routed."),
 		streams: make(map[string]*obs.Counter, len(streamOps)),
 		logicalBytes: reg.Counter("cluster_logical_bytes_total",
 			"Logical stream bytes committed across the cluster."),
-	}
-	for v := byte(0); v <= ingest.ProtocolVersion; v++ {
-		m.sessionsTotal[v] = reg.Counter("cluster_sessions_total",
-			"Client sessions completed, by negotiated protocol version.",
-			"protocol", fmt.Sprintf("%d", max(v, 1)))
 	}
 	for _, op := range streamOps {
 		m.streams[op] = reg.Counter("cluster_streams_total",
@@ -70,30 +58,6 @@ func newMetrics(reg *obs.Registry, t Topology) *metrics {
 			"Failed attempts to lease a session to the node.", "node", n.ID))
 	}
 	return m
-}
-
-func (m *metrics) sessionStart() {
-	if m == nil {
-		return
-	}
-	m.sessionsActive.Inc()
-}
-
-func (m *metrics) sessionEnd(ver byte) {
-	if m == nil {
-		return
-	}
-	m.sessionsActive.Dec()
-	if int(ver) < len(m.sessionsTotal) {
-		m.sessionsTotal[ver].Inc()
-	}
-}
-
-func (m *metrics) frame() {
-	if m == nil {
-		return
-	}
-	m.frames.Inc()
 }
 
 func (m *metrics) stream(op string) {

@@ -1,462 +1,57 @@
 package cluster
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
-	"log/slog"
-	"net"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"shredder/internal/chunk"
-	"shredder/internal/dedup"
 	"shredder/internal/ingest"
 	"shredder/internal/obs"
 	"shredder/internal/shardstore"
 )
 
-// Router serves the ingest wire protocol (v1–v4, unchanged) in front
-// of a Cluster: ordinary ingest.Session clients connect to it exactly
-// as they would to a single shredderd, and every stream is split by
-// chunk ownership and fanned out behind their back. cmd/shredrouter
-// wraps it in a daemon.
-type Router struct {
-	c        *Cluster
-	maxProto byte
-	log      *slog.Logger
-	seq      atomic.Int64
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
+// NewRouter puts the ingest wire front end over the cluster: ordinary
+// ingest.Session clients (protocol v1–v4, unchanged) connect to it
+// exactly as they would to a single shredderd — it is the same
+// ingest.Frontend, sessions, draining, errors, metrics and spans
+// included — and every stream is split by chunk ownership and fanned
+// out behind their back. maxProto caps the protocol version offered to
+// clients (0: ProtocolVersion). cmd/shredrouter wraps it in a daemon.
+func NewRouter(c *Cluster, maxProto byte) *ingest.Frontend {
+	cfg := ingest.Config{MaxProtocol: maxProto, Obs: c.obs, Tracer: c.tracer, Logger: c.log}
+	return ingest.NewFrontend(cfg, c.eng, backend{c})
 }
 
-// NewRouter builds a router over the cluster. maxProto caps the
-// protocol version offered to clients (0: ProtocolVersion).
-func NewRouter(c *Cluster, maxProto byte) *Router {
-	return &Router{
-		c:        c,
-		maxProto: maxProto,
-		log:      c.log,
-		conns:    make(map[net.Conn]struct{}),
-	}
-}
+// backend is the Cluster as the front end's ingest.Backend. The front
+// end's operation span becomes the remote parent of the routing span,
+// just as a client's does for an in-process RoutedSession.
+type backend struct{ c *Cluster }
 
-// Serve accepts client sessions until the listener closes.
-func (r *Router) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		r.track(conn)
-		go func() {
-			defer r.untrack(conn)
-			_ = r.ServeConn(conn)
-		}()
-	}
-}
+// VetSpec adds the cluster's one rule to the protocol's: every
+// accepted spec must bound chunks within one frame.
+func (b backend) VetSpec(spec chunk.Spec) error { return vetSpec(spec) }
 
-func (r *Router) track(conn net.Conn) {
-	r.wg.Add(1)
-	r.connMu.Lock()
-	r.conns[conn] = struct{}{}
-	r.connMu.Unlock()
-}
-
-func (r *Router) untrack(conn net.Conn) {
-	_ = conn.Close()
-	r.connMu.Lock()
-	delete(r.conns, conn)
-	r.connMu.Unlock()
-	r.wg.Done()
-}
-
-// Shutdown drains the sessions Serve spawned: it waits up to grace for
-// them to finish, then severs the stragglers. Close the listener
-// first so no new sessions arrive.
-func (r *Router) Shutdown(grace time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	if grace > 0 {
-		t := time.NewTimer(grace)
-		defer t.Stop()
-		select {
-		case <-done:
-			return
-		case <-t.C:
-		}
-	}
-	r.connMu.Lock()
-	for conn := range r.conns {
-		_ = conn.Close()
-	}
-	r.connMu.Unlock()
-	<-done
-}
-
-// ServeConn runs one client session to completion.
-func (r *Router) ServeConn(conn net.Conn) error {
-	r.c.met.sessionStart()
-	var sl *slog.Logger
-	if r.log != nil {
-		sl = r.log.With("session", r.seq.Add(1))
-		remote := "?"
-		if addr := conn.RemoteAddr(); addr != nil {
-			remote = addr.String()
-		}
-		sl.Debug("session accepted", "remote", remote)
-	}
-	ver, err := r.serveSession(conn, sl)
-	r.c.met.sessionEnd(ver)
-	if sl != nil {
-		proto := int(ver)
-		if proto == 0 {
-			proto = 1
-		}
-		if err != nil {
-			sl.Warn("session failed", "protocol", proto, "err", err)
-		} else {
-			sl.Debug("session closed", "protocol", proto)
-		}
-	}
-	return err
-}
-
-// serveSession is the client-facing frame loop, mirroring the
-// single-node server's state machine.
-func (r *Router) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
-	br := bufio.NewReaderSize(conn, 256<<10)
-	bw := bufio.NewWriterSize(conn, 256<<10)
-	var buf []byte
-	var ver byte // negotiated protocol version; 0 = legacy raw session
-	eng := r.c.eng
-	for {
-		typ, payload, rerr := ingest.ReadFrame(br, buf)
-		if rerr == io.EOF {
-			return ver, nil
-		}
-		if rerr != nil {
-			return ver, rerr
-		}
-		r.c.met.frame()
-		buf = payload[:cap(payload)]
-		switch typ {
-		case ingest.MsgHello:
-			neng, nver, ctx, nerr := r.negotiate(payload)
-			if nerr != nil {
-				reason := nerr.Error()
-				var ne *ingest.NegotiationError
-				if errors.As(nerr, &ne) {
-					reason = ne.Reason
-				}
-				_ = ingest.WriteFrame(bw, ingest.MsgError, []byte(reason))
-				_ = bw.Flush()
-				return ver, nerr
-			}
-			eng, ver = neng, nver
-			sp := r.c.span("negotiate", ctx, obs.Int("protocol", int64(ver)))
-			if sl != nil {
-				spec := eng.Spec()
-				sl.Debug("session negotiated", "protocol", ver,
-					"algo", spec.Algo, "min", spec.MinSize, "max", spec.MaxSize)
-			}
-			err := ingest.WriteFrame(bw, ingest.MsgAccept, ingest.EncodeHello(ver, eng.Spec()))
-			if err == nil {
-				err = bw.Flush()
-			}
-			sp.End()
-			if err != nil {
-				return ver, err
-			}
-		case ingest.MsgBegin:
-			if err := r.handleRawBackup(string(payload), ver, eng, br, bw, sl); err != nil {
-				return ver, err
-			}
-		case ingest.MsgBeginDedup:
-			if ver < 3 {
-				ferr := &ingest.UnexpectedFrameError{Type: typ, Context: "session below protocol version 3"}
-				_ = ingest.WriteFrame(bw, ingest.MsgError, []byte(ferr.Error()))
-				_ = bw.Flush()
-				return ver, ferr
-			}
-			name, ctx, derr := ingest.DecodeBeginDedup(ver, payload)
-			if derr != nil {
-				_ = ingest.WriteFrame(bw, ingest.MsgError, []byte(derr.Error()))
-				_ = bw.Flush()
-				return ver, derr
-			}
-			if err := r.handleDedup(name, ver, ctx, br, bw, sl); err != nil {
-				return ver, err
-			}
-		case ingest.MsgDelete:
-			if ver < 3 {
-				ferr := &ingest.UnexpectedFrameError{Type: typ, Context: "session below protocol version 3"}
-				_ = ingest.WriteFrame(bw, ingest.MsgError, []byte(ferr.Error()))
-				_ = bw.Flush()
-				return ver, ferr
-			}
-			if err := r.handleDelete(string(payload), bw); err != nil {
-				return ver, err
-			}
-		case ingest.MsgRestore:
-			if err := r.handleRestore(string(payload), bw); err != nil {
-				return ver, err
-			}
-		default:
-			ferr := &ingest.UnexpectedFrameError{Type: typ, Context: "session"}
-			_ = ingest.WriteFrame(bw, ingest.MsgError, []byte(ferr.Error()))
-			_ = bw.Flush()
-			return ver, ferr
-		}
-	}
-}
-
-// negotiate validates a client Hello against the router's constraints.
-// On top of the single-node rules, every accepted spec must bound
-// chunks within one frame: the routed restore path re-interleaves
-// node streams at frame granularity.
-func (r *Router) negotiate(payload []byte) (chunk.Engine, byte, obs.SpanContext, error) {
-	version, spec, ctx, err := ingest.DecodeHello(payload)
+func (b backend) NewStream(name string, sp *obs.Span) (ingest.Stream, error) {
+	st, err := b.c.NewStream(name, sp.Context())
 	if err != nil {
-		return nil, 0, ctx, &ingest.NegotiationError{Reason: err.Error()}
+		return nil, err
 	}
-	max := r.maxProto
-	if max == 0 {
-		max = ingest.ProtocolVersion
-	}
-	if version < ingest.MinProtocolVersion || version > max {
-		return nil, 0, ctx, &ingest.NegotiationError{
-			Reason: fmt.Sprintf("unsupported protocol version %d (router speaks %d)", version, max),
-		}
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, 0, ctx, &ingest.NegotiationError{Reason: err.Error()}
-	}
+	return st, nil
+}
+
+func (b backend) Restore(name string, emit func([]byte) error, sp *obs.Span) error {
+	return b.c.restore(name, emit, sp.Context())
+}
+
+func (b backend) Delete(name string, sp *obs.Span) (shardstore.DeleteStats, error) {
+	return b.c.delete(name, sp.Context())
+}
+
+// vetSpec is the cluster's bound on chunking specs, its own and every
+// client's: the restore path re-interleaves per-node streams at frame
+// granularity, so every chunk must fit one frame.
+func vetSpec(spec chunk.Spec) error {
 	if spec.MaxSize <= 0 || spec.MaxSize > ingest.DefaultFrameSize {
-		return nil, 0, ctx, &ingest.NegotiationError{
-			Reason: fmt.Sprintf("clustered sessions need a max chunk size in (0, %d] (the router restores across nodes at frame granularity)", ingest.DefaultFrameSize),
-		}
+		return fmt.Errorf("clustered sessions need a max chunk size in (0, %d], not %d (restore re-interleaves node streams at frame granularity)", ingest.DefaultFrameSize, spec.MaxSize)
 	}
-	eng, err := chunk.New(spec)
-	if err != nil {
-		return nil, 0, ctx, &ingest.NegotiationError{Reason: err.Error()}
-	}
-	return eng, version, ctx, nil
-}
-
-// handleRawBackup serves a raw (v1/v2-style) backup: the router chunks
-// the stream itself and routes the chunks. Mirrors the single-node
-// server: failures send an Error frame and end the session.
-func (r *Router) handleRawBackup(name string, ver byte, eng chunk.Engine, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger) error {
-	abort := func(err error) error {
-		_ = ingest.WriteFrame(bw, ingest.MsgError, []byte(err.Error()))
-		_ = bw.Flush()
-		return err
-	}
-	st, err := r.c.NewStream(name, obs.SpanContext{})
-	if err != nil {
-		return abort(err)
-	}
-	sink := eng.Stream(func(c chunk.Chunk, data []byte) error {
-		return st.Add(dedup.Sum(data), append([]byte(nil), data...))
-	})
-	var buf []byte
-	for {
-		typ, payload, rerr := ingest.ReadFrame(br, buf)
-		if rerr != nil {
-			if rerr == io.EOF {
-				rerr = io.ErrUnexpectedEOF
-			}
-			st.Abort()
-			return rerr
-		}
-		r.c.met.frame()
-		buf = payload[:cap(payload)]
-		if typ == ingest.MsgEnd {
-			break
-		}
-		if typ != ingest.MsgData {
-			st.Abort()
-			return abort(&ingest.UnexpectedFrameError{Type: typ, Context: "backup stream"})
-		}
-		if _, err := sink.Write(payload); err != nil {
-			st.Abort()
-			return abort(err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		st.Abort()
-		return abort(err)
-	}
-	stats, err := st.Commit()
-	if err != nil {
-		return abort(err)
-	}
-	if sl != nil {
-		sl.Info("stream committed", "recipe", name, "bytes", stats.Bytes,
-			"chunks", stats.Chunks, "nodes", r.c.ring.Len())
-	}
-	if err := ingest.WriteFrame(bw, ingest.MsgStats, ingest.EncodeStreamStats(*stats, ver)); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// handleDedup serves a dedup-protocol client: each fingerprint round
-// splits by ownership and fans out, the merged missing set goes back,
-// and the client's bodies forward straight to their owners. Node
-// failures put the round loop into drain mode (answer need-nothing,
-// fail at Commit) exactly like the single-node server's application
-// errors, so the client's protocol state machine never desyncs.
-func (r *Router) handleDedup(name string, ver byte, ctx obs.SpanContext, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger) error {
-	abort := func(err error) error {
-		_ = ingest.WriteFrame(bw, ingest.MsgError, []byte(err.Error()))
-		_ = bw.Flush()
-		return err
-	}
-	st, err := r.c.NewStream(name, ctx)
-	if err != nil {
-		return abort(err)
-	}
-	var appErr error // first routing failure; drain afterwards
-	var buf []byte
-	for {
-		typ, payload, rerr := ingest.ReadFrame(br, buf)
-		if rerr != nil {
-			if rerr == io.EOF {
-				rerr = io.ErrUnexpectedEOF
-			}
-			st.Abort()
-			return rerr
-		}
-		r.c.met.frame()
-		buf = payload[:cap(payload)]
-		switch typ {
-		case ingest.MsgHasBatch:
-			hs, err := ingest.DecodeHasBatchPayload(payload)
-			if err != nil {
-				st.Abort()
-				return abort(err)
-			}
-			var missing []int
-			if appErr == nil {
-				if missing, err = st.RoundHas(hs); err != nil {
-					appErr = err
-				}
-			}
-			if err := ingest.WriteFrame(bw, ingest.MsgNeedBatch, ingest.EncodeNeedBatch(missing)); err != nil {
-				st.Abort()
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				st.Abort()
-				return err
-			}
-			for range missing {
-				btyp, body, berr := ingest.ReadFrame(br, buf)
-				if berr != nil {
-					if berr == io.EOF {
-						berr = io.ErrUnexpectedEOF
-					}
-					st.Abort()
-					return berr
-				}
-				r.c.met.frame()
-				buf = body[:cap(body)]
-				if btyp != ingest.MsgData {
-					st.Abort()
-					return abort(&ingest.UnexpectedFrameError{Type: btyp, Context: "dedup body upload"})
-				}
-				if appErr == nil {
-					if err := st.RoundBody(body); err != nil {
-						appErr = err
-					}
-				}
-			}
-		case ingest.MsgCommit:
-			var stats *ingest.StreamStats
-			if appErr == nil {
-				stats, appErr = st.Commit()
-			}
-			if appErr != nil {
-				st.Abort()
-				return abort(appErr)
-			}
-			if sl != nil {
-				sl.Info("stream committed", "recipe", name, "bytes", stats.Bytes,
-					"chunks", stats.Chunks, "wire_bytes", stats.Wire.WireBytes,
-					"chunks_skipped", stats.Wire.ChunksSkipped, "nodes", r.c.ring.Len())
-			}
-			if err := ingest.WriteFrame(bw, ingest.MsgStats, ingest.EncodeStreamStats(*stats, ver)); err != nil {
-				return err
-			}
-			return bw.Flush()
-		default:
-			st.Abort()
-			return abort(&ingest.UnexpectedFrameError{Type: typ, Context: "dedup backup stream"})
-		}
-	}
-}
-
-// frameWriter emits each Write as one Data frame — the routed restore
-// writes exactly one Write per chunk, preserving chunk-per-frame
-// granularity for any router stacked on top of this one.
-type frameWriter struct{ bw *bufio.Writer }
-
-func (f frameWriter) Write(p []byte) (int, error) {
-	if err := ingest.WriteFrame(f.bw, ingest.MsgData, p); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
-// handleRestore streams a routed restore back to the client. Like the
-// single-node server, failures (including unknown names, reported with
-// the store's canonical text so clients type them) are sent as Error
-// frames and the session survives.
-func (r *Router) handleRestore(name string, bw *bufio.Writer) error {
-	sendErr := func(msg string) error {
-		if err := ingest.WriteFrame(bw, ingest.MsgError, []byte(msg)); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	if _, err := r.c.restore(name, frameWriter{bw}, obs.SpanContext{}); err != nil {
-		if nf, ok := err.(*ingest.NotFoundError); ok {
-			return sendErr(fmt.Sprintf("%v: %q", shardstore.ErrUnknownRecipe, nf.Name))
-		}
-		return sendErr(err.Error())
-	}
-	if err := ingest.WriteFrame(bw, ingest.MsgEnd, nil); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// handleDelete fans a delete across the cluster. Application errors
-// (unknown name included) answer with an Error frame and keep the
-// session, mirroring the single-node server.
-func (r *Router) handleDelete(name string, bw *bufio.Writer) error {
-	ds, err := r.c.delete(name, obs.SpanContext{})
-	if err != nil {
-		msg := err.Error()
-		if nf, ok := err.(*ingest.NotFoundError); ok {
-			msg = fmt.Sprintf("%v: %q", shardstore.ErrUnknownRecipe, nf.Name)
-		}
-		if werr := ingest.WriteFrame(bw, ingest.MsgError, []byte(msg)); werr != nil {
-			return werr
-		}
-		return bw.Flush()
-	}
-	if err := ingest.WriteFrame(bw, ingest.MsgDeleteOK, ingest.EncodeDeleteStats(*ds)); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return nil
 }

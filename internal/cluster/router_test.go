@@ -105,7 +105,8 @@ func TestRouterDedupClientRoundTrip(t *testing.T) {
 		t.Fatalf("session did not survive application errors: %v", err)
 	}
 
-	// Per-node metrics exist and saw traffic.
+	// Per-node metrics exist and saw traffic; the client-facing side is
+	// counted by the shared front end, under a shredderd's own names.
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -113,7 +114,8 @@ func TestRouterDedupClientRoundTrip(t *testing.T) {
 	scrape := buf.String()
 	for _, want := range []string{
 		`cluster_node_up{node="n0"} 1`,
-		"cluster_routed_frames_total",
+		`ingest_frames_total{type="has_batch"}`,
+		"ingest_sessions_active 1",
 		`cluster_node_tx_bytes_total{node="`,
 		`cluster_streams_total{op="restore"}`,
 	} {
@@ -218,5 +220,81 @@ func TestRouterReservedNameRejected(t *testing.T) {
 	}
 	if _, err := sess.BackupDedupBytes(ManifestName("x"), []byte("nope")); err == nil {
 		t.Fatal("router accepted a backup into the reserved namespace")
+	}
+}
+
+// TestRouterRawRejectionDrains: a raw backup the router refuses must
+// still be read to its End before the Error frame goes out. Over an
+// unbuffered transport anything else deadlocks — the client blocked
+// writing Data, the router blocked writing the error.
+func TestRouterRawRejectionDrains(t *testing.T) {
+	tc := startNodes(t, 1)
+	c := newTestCluster(t, tc, DefaultSpec())
+	r := NewRouter(c, 0)
+	cend, send := net.Pipe()
+	go func() {
+		defer send.Close()
+		_ = r.ServeConn(send)
+	}()
+	sess := ingest.NewSession(cend)
+	defer sess.Close()
+
+	errc := make(chan error, 1)
+	go func() {
+		_, err := sess.BackupBytes(ManifestName("x"), workload.Random(31, 4<<20))
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		var re *ingest.RemoteError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, "reserved") {
+			t.Fatalf("raw backup into the reserved namespace: %v, want a *RemoteError naming it", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("raw backup into the reserved namespace hangs instead of failing")
+	}
+}
+
+// TestRouterTruncatedRawStreamTyped: a raw stream cut off before its
+// End frame ends the session with the protocol's typed error, and is
+// counted as one.
+func TestRouterTruncatedRawStreamTyped(t *testing.T) {
+	tc := startNodes(t, 1)
+	reg := obs.NewRegistry()
+	c, err := New(Config{Topology: tc.topo, Spec: DefaultSpec(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	r := NewRouter(c, 0)
+	cend, send := net.Pipe()
+	errc := make(chan error, 1)
+	go func() {
+		defer send.Close()
+		errc <- r.ServeConn(send)
+	}()
+	if err := ingest.WriteFrame(cend, ingest.MsgBegin, []byte("cut")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ingest.WriteFrame(cend, ingest.MsgData, workload.Random(37, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	cend.Close()
+
+	select {
+	case err := <-errc:
+		var te *ingest.TruncatedError
+		if !errors.As(err, &te) {
+			t.Fatalf("session over a truncated raw stream ended with %v, want *TruncatedError", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("session did not end after the client vanished mid-stream")
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `ingest_protocol_errors_total{kind="truncated"} 1`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("scrape is missing %q:\n%s", want, buf.String())
 	}
 }

@@ -48,13 +48,19 @@ func (rs *RoutedSession) BackupBytes(name string, data []byte) (*ingest.StreamSt
 // Restore streams a backed-up name into w. An unknown name (no
 // manifest on its home node) is a *ingest.NotFoundError.
 func (rs *RoutedSession) Restore(name string, w io.Writer) (int64, error) {
-	return rs.c.restore(name, w, obs.SpanContext{})
+	var total int64
+	err := rs.c.restore(name, func(chunk []byte) error {
+		n, err := w.Write(chunk)
+		total += int64(n)
+		return err
+	}, obs.SpanContext{})
+	return total, err
 }
 
 // RestoreBytes is Restore into memory.
 func (rs *RoutedSession) RestoreBytes(name string) ([]byte, error) {
 	var out bytes.Buffer
-	if _, err := rs.c.restore(name, &out, obs.SpanContext{}); err != nil {
+	if _, err := rs.Restore(name, &out); err != nil {
 		return nil, err
 	}
 	return out.Bytes(), nil
@@ -77,7 +83,11 @@ func (rs *RoutedSession) Verify(name string, original []byte) error {
 // alone (the manifest's own bookkeeping chunks are excluded), matching
 // what a single node would have reported.
 func (rs *RoutedSession) Delete(name string) (*shardstore.DeleteStats, error) {
-	return rs.c.delete(name, obs.SpanContext{})
+	ds, err := rs.c.delete(name, obs.SpanContext{})
+	if err != nil {
+		return nil, err
+	}
+	return &ds, nil
 }
 
 // feedStream chunks r and feeds the stream, copying each chunk out of
@@ -92,10 +102,11 @@ func feedStream(st *Stream, eng chunk.Engine, r io.Reader) error {
 	return sink.Close()
 }
 
-// restore re-interleaves the per-node sub-streams in manifest order.
-func (c *Cluster) restore(name string, w io.Writer, parent obs.SpanContext) (int64, error) {
+// restore re-interleaves the per-node sub-streams in manifest order,
+// handing emit one verified chunk at a time.
+func (c *Cluster) restore(name string, emit func(chunk []byte) error, parent obs.SpanContext) error {
 	if reservedName(name) {
-		return 0, ErrReservedName
+		return ErrReservedName
 	}
 	sp := c.span("route_restore", parent, obs.Str("recipe", name))
 	defer sp.End()
@@ -103,7 +114,7 @@ func (c *Cluster) restore(name string, w io.Writer, parent obs.SpanContext) (int
 	home := c.ring.OwnerName(name)
 	hsess, err := c.lease(home)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	mdata, err := hsess.RestoreBytes(ManifestName(name))
 	if err != nil {
@@ -111,16 +122,16 @@ func (c *Cluster) restore(name string, w io.Writer, parent obs.SpanContext) (int
 			// No manifest means no stream: the not-found restore left
 			// the home session on a clean boundary.
 			c.pools[home].Put(hsess)
-			return 0, &ingest.NotFoundError{Op: "restore", Name: name}
+			return &ingest.NotFoundError{Op: "restore", Name: name}
 		}
 		c.pools[home].Discard(hsess)
-		return 0, &NodeError{Node: c.ring.Node(home).ID, Op: "restore", Err: err}
+		return &NodeError{Node: c.ring.Node(home).ID, Op: "restore", Err: err}
 	}
 	c.met.nodeTraffic(home, 0, int64(len(mdata)))
 	c.pools[home].Put(hsess)
 	hashes, err := decodeManifest(mdata)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	sp.Set(obs.Int("chunks", int64(len(hashes))))
 
@@ -147,13 +158,13 @@ func (c *Cluster) restore(name string, w io.Writer, parent obs.SpanContext) (int
 			sess, err := c.lease(o)
 			if err != nil {
 				discardAll()
-				return total, err
+				return err
 			}
 			rstream, err := sess.OpenRestore(name)
 			if err != nil {
 				c.pools[o].Discard(sess)
 				discardAll()
-				return total, &NodeError{Node: c.ring.Node(o).ID, Op: "restore", Err: err}
+				return &NodeError{Node: c.ring.Node(o).ID, Op: "restore", Err: err}
 			}
 			nr = &nodeRestore{idx: o, sess: sess, rs: rstream}
 			streams[o] = nr
@@ -166,19 +177,18 @@ func (c *Cluster) restore(name string, w io.Writer, parent obs.SpanContext) (int
 			}
 			// Deliberately flattened: a node missing its sub-stream is
 			// cluster damage, not a not-found the caller should trust.
-			return total, &NodeError{Node: c.ring.Node(o).ID, Op: "restore",
+			return &NodeError{Node: c.ring.Node(o).ID, Op: "restore",
 				Err: fmt.Errorf("chunk %d of %q: %v", i, name, err)} //lint:allow errhygiene flattening is the contract here: cluster damage must not surface as a trusted NotFoundError
 		}
 		if dedup.Sum(data) != h {
 			discardAll()
-			return total, &ChunkMismatchError{Name: name, Node: c.ring.Node(o).ID, Index: i}
+			return &ChunkMismatchError{Name: name, Node: c.ring.Node(o).ID, Index: i}
 		}
 		c.met.nodeTraffic(o, 0, int64(len(data)))
-		n, werr := w.Write(data)
-		total += int64(n)
-		if werr != nil {
+		total += int64(len(data))
+		if err := emit(data); err != nil {
 			discardAll()
-			return total, werr
+			return err
 		}
 	}
 	// Every sub-stream must end exactly where the manifest does.
@@ -188,13 +198,13 @@ func (c *Cluster) restore(name string, w io.Writer, parent obs.SpanContext) (int
 			if err == nil {
 				err = errors.New("sub-stream has chunks beyond the manifest")
 			}
-			return total, &NodeError{Node: c.ring.Node(nr.idx).ID, Op: "restore", Err: err}
+			return &NodeError{Node: c.ring.Node(nr.idx).ID, Op: "restore", Err: err}
 		}
 		c.pools[nr.idx].Put(nr.sess)
 	}
 	c.met.stream("restore")
 	sp.Set(obs.Int("bytes", total))
-	return total, nil
+	return nil
 }
 
 // delete fans the deletion out to every node concurrently — a node
@@ -202,9 +212,9 @@ func (c *Cluster) restore(name string, w io.Writer, parent obs.SpanContext) (int
 // removes the manifest from the home node. The stream "exists" (no
 // top-level not-found) if any node had a sub-stream or the manifest
 // was present.
-func (c *Cluster) delete(name string, parent obs.SpanContext) (*shardstore.DeleteStats, error) {
+func (c *Cluster) delete(name string, parent obs.SpanContext) (shardstore.DeleteStats, error) {
 	if reservedName(name) {
-		return nil, ErrReservedName
+		return shardstore.DeleteStats{}, ErrReservedName
 	}
 	sp := c.span("route_delete", parent, obs.Str("recipe", name))
 	defer sp.End()
@@ -271,14 +281,14 @@ func (c *Cluster) delete(name string, parent obs.SpanContext) (*shardstore.Delet
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return shardstore.DeleteStats{}, firstErr
 	}
 	if !found {
-		return nil, &ingest.NotFoundError{Op: "delete", Name: name}
+		return shardstore.DeleteStats{}, &ingest.NotFoundError{Op: "delete", Name: name}
 	}
 	c.met.stream("delete")
 	sp.Set(obs.Int("chunks_released", agg.ChunksReleased),
 		obs.Int("chunks_freed", agg.ChunksFreed),
 		obs.Int("bytes_freed", agg.BytesFreed))
-	return &agg, nil
+	return agg, nil
 }

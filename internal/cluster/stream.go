@@ -73,8 +73,10 @@ func (n *streamNode) failed() error {
 // Stream is one in-flight routed backup: chunks split by ring
 // ownership into per-node v3 dedup sub-streams, all under the client's
 // stream name, plus the manifest committed on the stream's home node
-// at the end. Not safe for concurrent use — one goroutine drives a
-// stream (the internal per-node fan-out is the concurrency).
+// at the end. It is the cluster's ingest.Stream: the router's front end
+// drives it exactly as it would drive a single store's. Not safe for
+// concurrent use — one goroutine drives a stream (the internal per-node
+// fan-out is the concurrency).
 //
 // Two mutually exclusive feeding modes share the commit machinery:
 //

@@ -27,7 +27,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			}
 			golden := workload.NewImage(1, imageSize, 64<<10, 0.1)
 			images := make([][]byte, sessions)
-			clients := make([]*Client, sessions)
+			clients := make([]*Session, sessions)
 			for i := range images {
 				images[i] = golden.Snapshot(int64(i))
 				clients[i] = startSession(b, srv)

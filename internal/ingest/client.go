@@ -62,9 +62,6 @@ type Session struct {
 	segs *segmentPool
 }
 
-// Client is the session type's historical name.
-type Client = Session
-
 // ErrDedupUnsupported reports a BackupDedup call on a session that has
 // not negotiated protocol version 3 (NegotiateDedup was never called,
 // or the server talked it down).
@@ -84,9 +81,6 @@ func NewSession(conn net.Conn) *Session {
 		frameSize: DefaultFrameSize,
 	}
 }
-
-// NewClient is NewSession under the type's historical name.
-func NewClient(conn net.Conn) *Session { return NewSession(conn) }
 
 // Dial timeouts and retry bounds. A raw net.Dial against a dead node
 // can hang for minutes (kernel SYN retries); every connect in this

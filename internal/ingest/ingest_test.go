@@ -22,7 +22,7 @@ func testConfig(shards int) Config {
 }
 
 // startSession wires a client to the server over an in-memory pipe.
-func startSession(t testing.TB, srv *Server) *Client {
+func startSession(t testing.TB, srv *Server) *Session {
 	t.Helper()
 	cend, send := net.Pipe()
 	go func() {
@@ -30,7 +30,7 @@ func startSession(t testing.TB, srv *Server) *Client {
 		_ = srv.ServeConn(send)
 	}()
 	t.Cleanup(func() { cend.Close() })
-	return NewClient(cend)
+	return NewSession(cend)
 }
 
 // inProcessStats replays the same streams through the sequential

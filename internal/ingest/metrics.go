@@ -51,9 +51,11 @@ func errorKind(err error) string {
 	}
 }
 
-// serverMetrics holds the server's pre-resolved metric handles. A nil
-// *serverMetrics (no registry configured) makes every method a no-op,
-// so the hot path pays one nil check per event and nothing else.
+// serverMetrics holds the front end's pre-resolved metric handles (the
+// store back end keeps its own two: ingest_chunks_pinned_total and
+// ingest_commit_seconds). A nil *serverMetrics (no registry configured)
+// makes every method a no-op, so the hot path pays one nil check per
+// event and nothing else.
 type serverMetrics struct {
 	sessionsActive *obs.Gauge
 	sessionsTotal  [ProtocolVersion + 1]*obs.Counter // by negotiated version; 0 = legacy raw
@@ -63,12 +65,10 @@ type serverMetrics struct {
 	wireBytes      *obs.Counter
 	chunksSent     *obs.Counter
 	chunksSkipped  *obs.Counter
-	chunksPinned   *obs.Counter
-	commitSeconds  *obs.Histogram
 }
 
-// newServerMetrics registers the ingest metric families. Returns nil
-// when reg is nil — the uninstrumented server.
+// newServerMetrics registers the front end's metric families. Returns
+// nil when reg is nil — the uninstrumented server.
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	if reg == nil {
 		return nil
@@ -85,10 +85,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Chunk bodies uploaded for committed streams."),
 		chunksSkipped: reg.Counter("ingest_chunks_skipped_total",
 			"Chunks of committed streams resolved by fingerprint alone (no body on the wire)."),
-		chunksPinned: reg.Counter("ingest_chunks_pinned_total",
-			"Chunk references pinned while answering HasBatch queries (aborted streams included)."),
-		commitSeconds: reg.Histogram("ingest_commit_seconds",
-			"Durable recipe-commit latency per stream.", obs.LatencyBuckets),
 	}
 	for v := byte(0); v <= ProtocolVersion; v++ {
 		// Version 0 is a session that never sent a Hello — protocol 1.
@@ -147,22 +143,4 @@ func (m *serverMetrics) streamCommitted(st StreamStats) {
 	m.wireBytes.Add(st.Wire.WireBytes)
 	m.chunksSent.Add(st.Wire.ChunksSent)
 	m.chunksSkipped.Add(st.Wire.ChunksSkipped)
-}
-
-// pinned accounts references taken while answering a HasBatch.
-func (m *serverMetrics) pinned(n int) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.chunksPinned.Add(int64(n))
-}
-
-// observeCommit records one durable recipe-commit latency; a non-zero
-// trace is pinned as the receiving bucket's exemplar, linking a slow
-// commit bucket to the stream that fell into it.
-func (m *serverMetrics) observeCommit(seconds float64, trace obs.TraceID) {
-	if m == nil {
-		return
-	}
-	m.commitSeconds.ObserveExemplar(seconds, trace)
 }

@@ -212,7 +212,7 @@ func legacyServeConn(conn net.Conn) {
 func TestNegotiateAgainstLegacyServer(t *testing.T) {
 	cend, send := net.Pipe()
 	go legacyServeConn(send)
-	c := NewClient(cend)
+	c := NewSession(cend)
 	defer c.Close()
 	_, err := c.Negotiate(chunk.FastCDCSpec(4 << 10))
 	var ne *NegotiationError
@@ -241,7 +241,7 @@ func TestNegotiateOversizedMaxChunk(t *testing.T) {
 // wire — Negotiate fails locally.
 func TestClientSpecValidationLocal(t *testing.T) {
 	// A conn that explodes on use proves nothing was written.
-	c := NewClient(deadConn{})
+	c := NewSession(deadConn{})
 	bad := chunk.FastCDCSpec(4 << 10)
 	bad.AvgSize = 4095
 	if _, err := c.Negotiate(bad); err == nil {

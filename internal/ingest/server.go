@@ -1,14 +1,9 @@
 package ingest
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"shredder/internal/chunk"
@@ -18,7 +13,10 @@ import (
 	"shredder/internal/shardstore"
 )
 
-// Config parameterizes the ingest server.
+// Config parameterizes the ingest server. The wire front end reads
+// MaxProtocol, Shredder, Obs, Tracer and Logger (all that matters to a
+// Frontend over some other back end); the rest configures the store
+// back end.
 type Config struct {
 	// Shards and ContainerSize configure the shared shardstore
 	// (0 means the shardstore defaults).
@@ -76,40 +74,14 @@ func DefaultConfig() Config {
 	return Config{Shards: 16, Shredder: sc, BatchSize: 64}
 }
 
-// Server chunks and dedups client streams against one shared sharded
-// store. All exported methods are safe for concurrent use; each
-// connection is one session and sessions run independently. Stream
-// recipes are recorded in the store itself, so a durably-backed store
-// (internal/persist) carries them across a restart.
+// Server is the single-node ingest service: the wire Frontend over one
+// shared sharded store, which every session chunks and dedups into.
+// Stream recipes are recorded in the store itself, so a durably-backed
+// store (internal/persist) carries them across a restart.
 type Server struct {
+	*Frontend
 	cfg   Config
-	eng   chunk.Engine // cuts the raw streams of sessions that never negotiate
 	store *shardstore.Store
-	met   *serverMetrics // nil when cfg.Obs is nil
-	seq   atomic.Uint64  // session id source
-
-	// Sessions spawned by Serve, tracked for Shutdown.
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
-}
-
-// newEngine builds the engine spec describes, cutting large streams on
-// cfg.Shredder.HostWorkers cores when that asks for more than one.
-// Engines are safe for concurrent use, and the parallel chunker's
-// metric families register idempotently per registry, so every
-// session's engine aggregates into the same counters.
-func newEngine(cfg Config, spec chunk.Spec) (chunk.Engine, error) {
-	eng, err := chunk.New(spec)
-	if err != nil {
-		return nil, err
-	}
-	if w := cfg.Shredder.HostWorkers; w > 1 || w < 0 {
-		p := chunk.NewParallel(eng, w)
-		p.Instrument(cfg.Obs)
-		return p, nil
-	}
-	return eng, nil
 }
 
 // NewServer builds a server around a fresh in-memory store.
@@ -139,13 +111,15 @@ func NewServerWithStore(cfg Config, store *shardstore.Store) (*Server, error) {
 	// One registry serves one store: Instrument is idempotent against
 	// the same registry, so two servers sharing a store may share it too.
 	store.Instrument(cfg.Obs)
-	return &Server{
+	be := &storeBackend{
 		cfg:   cfg,
-		eng:   eng,
 		store: store,
-		met:   newServerMetrics(cfg.Obs),
-		conns: make(map[net.Conn]struct{}),
-	}, nil
+		pinned: cfg.Obs.Counter("ingest_chunks_pinned_total",
+			"Chunk references pinned while answering HasBatch queries (aborted streams included)."),
+		commitSeconds: cfg.Obs.Histogram("ingest_commit_seconds",
+			"Durable recipe-commit latency per stream.", obs.LatencyBuckets),
+	}
+	return &Server{Frontend: NewFrontend(cfg, eng, be), cfg: cfg, store: store}, nil
 }
 
 // Store exposes the shared chunk store (for stats and tests).
@@ -160,744 +134,230 @@ func (s *Server) Recipe(name string) (shardstore.Recipe, bool) {
 	return s.store.Recipe(name)
 }
 
-// Serve accepts connections until the listener closes, running each
-// session on its own goroutine. It returns the accept error (which is
-// net.ErrClosed after a clean shutdown).
-func (s *Server) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
+// storeBackend is the Frontend's single-node back end: streams dedup
+// into one shardstore.Store in BatchSize batches.
+type storeBackend struct {
+	cfg           Config
+	store         *shardstore.Store
+	pinned        *obs.Counter // nil when cfg.Obs is nil, like commitSeconds
+	commitSeconds *obs.Histogram
+}
+
+// VetSpec accepts everything the protocol does: one store restores
+// chunks of any size.
+func (b *storeBackend) VetSpec(chunk.Spec) error { return nil }
+
+func (b *storeBackend) NewStream(name string, sp *obs.Span) (Stream, error) {
+	return &storeStream{b: b, name: name, sp: sp}, nil
+}
+
+// Restore reads the recorded recipe back chunk by chunk.
+func (b *storeBackend) Restore(name string, emit func([]byte) error, _ *obs.Span) error {
+	recipe, ok := b.store.Recipe(name)
+	if !ok {
+		return fmt.Errorf("%w: %q", shardstore.ErrUnknownRecipe, name)
+	}
+	for i, h := range recipe {
+		data, ok, err := b.store.GetByHash(h)
+		if err == nil && !ok {
+			err = fmt.Errorf("stream %q entry %d: no chunk for %x", name, i, h[:8])
+		}
 		if err != nil {
 			return err
 		}
-		s.track(conn)
-		go func() {
-			defer s.untrack(conn)
-			_ = s.ServeConn(conn)
-		}()
-	}
-}
-
-func (s *Server) track(conn net.Conn) {
-	s.wg.Add(1)
-	s.connMu.Lock()
-	s.conns[conn] = struct{}{}
-	s.connMu.Unlock()
-}
-
-func (s *Server) untrack(conn net.Conn) {
-	_ = conn.Close()
-	s.connMu.Lock()
-	delete(s.conns, conn)
-	s.connMu.Unlock()
-	s.wg.Done()
-}
-
-// Shutdown drains the sessions Serve spawned: it waits up to grace for
-// them to finish on their own, force-closes any stragglers, and waits
-// for the rest. The caller closes the listener first (which makes
-// Serve return) and the store afterwards. grace <= 0 force-closes
-// immediately.
-func (s *Server) Shutdown(grace time.Duration) {
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	if grace > 0 {
-		t := time.NewTimer(grace)
-		defer t.Stop()
-		select {
-		case <-done:
-			return
-		case <-t.C:
+		if err := emit(data); err != nil {
+			return err
 		}
 	}
-	s.connMu.Lock()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.connMu.Unlock()
-	<-done
+	return nil
 }
 
-// ServeConn runs one client session to completion: any number of
-// backup and restore operations, until the peer disconnects. Raw
-// streams are cut with the server's default engine until a Hello
-// negotiates a different one; the store is shared either way. A
-// session that negotiates version ≥ 3 may also run two-phase dedup
-// backups, which the server never chunks (the client did).
-func (s *Server) ServeConn(conn net.Conn) error {
-	s.met.sessionStart()
-	var sl *slog.Logger
-	if s.cfg.Logger != nil {
-		sl = s.cfg.Logger.With("session", s.seq.Add(1))
-		remote := "?"
-		if addr := conn.RemoteAddr(); addr != nil {
-			remote = addr.String()
-		}
-		sl.Debug("session accepted", "remote", remote)
+// Delete tombstones the recipe durably and releases its chunk
+// references.
+func (b *storeBackend) Delete(name string, sp *obs.Span) (shardstore.DeleteStats, error) {
+	ds, err := b.store.DeleteRecipeTraced(name, sp)
+	if err == nil && b.cfg.OnDelete != nil {
+		b.cfg.OnDelete(name, ds)
 	}
-	ver, err := s.serveSession(conn, sl)
-	s.met.sessionEnd(ver, err)
-	if sl != nil {
-		proto := int(ver)
-		if proto == 0 {
-			proto = 1 // never sent a Hello: the legacy raw protocol
-		}
-		if err != nil {
-			sl.Warn("session failed", "protocol", proto, "kind", errorKind(err), "err", err)
+	return ds, err
+}
+
+// storeStream is one backup into the store. Either way it is fed, the
+// store and accounting outcomes over the same chunk sequence are
+// identical.
+type storeStream struct {
+	b    *storeBackend
+	name string
+	sp   *obs.Span
+	st   StreamStats
+	// recipe is the stream so far, whole put batches (raw) or whole
+	// rounds (dedup) at a time: every entry holds one reference.
+	recipe shardstore.Recipe
+
+	// The pending put batch: chunk bodies and their fingerprints.
+	batch   [][]byte
+	batchHs []dedup.Hash
+
+	// The open dedup round: its fingerprints, the indices still owed a
+	// body, and the references it has taken so far (pins and stored
+	// bodies alike) — they join recipe when the round completes. Only
+	// references known to be applied are listed: a batch that failed
+	// partway is left counted (a bounded leak, swept by a future fsck)
+	// rather than risk releasing references another stream holds.
+	hs       []dedup.Hash
+	owed     []int
+	applied  shardstore.Recipe
+	twoPhase bool // fed by RoundHas, not Add
+}
+
+// flush puts the pending batch and accounts it. Every body in it
+// crossed the wire, so a duplicate here is a chunk the wire could not
+// save: on the dedup path, another session stored it between our
+// answer and the upload.
+func (s *storeStream) flush() error {
+	if len(s.batch) == 0 {
+		return nil
+	}
+	put := s.sp.Child("put_batch", obs.Int("chunks", int64(len(s.batch))))
+	_, dup, err := s.b.store.PutHashedBatchTraced(s.batchHs, s.batch, put)
+	put.End()
+	if err != nil {
+		return err
+	}
+	if s.twoPhase {
+		s.applied = append(s.applied, s.batchHs...)
+	} else {
+		s.recipe = append(s.recipe, s.batchHs...)
+	}
+	for i, c := range s.batch {
+		s.st.Chunks++
+		s.st.Bytes += int64(len(c))
+		if dup[i] {
+			s.st.DupChunks++
 		} else {
-			sl.Debug("session closed", "protocol", proto)
+			s.st.UniqueBytes += int64(len(c))
+		}
+	}
+	s.batch, s.batchHs = s.batch[:0], s.batchHs[:0]
+	return nil
+}
+
+// push queues one chunk for the next put, flushing at BatchSize so
+// memory stays bounded however large a stream or round is.
+func (s *storeStream) push(h dedup.Hash, body []byte) error {
+	if s.batch == nil {
+		s.batch = make([][]byte, 0, s.b.cfg.BatchSize)
+		s.batchHs = make([]dedup.Hash, 0, s.b.cfg.BatchSize)
+	}
+	s.batch = append(s.batch, body)
+	s.batchHs = append(s.batchHs, h)
+	if len(s.batch) >= s.b.cfg.BatchSize {
+		return s.flush()
+	}
+	return nil
+}
+
+func (s *storeStream) Add(h dedup.Hash, body []byte) error {
+	return s.push(h, body)
+}
+
+func (s *storeStream) RoundHas(hs []dedup.Hash) ([]int, error) {
+	s.twoPhase = true
+	hb := s.sp.Child("has_batch", obs.Int("chunks", int64(len(hs))))
+	refs, missing, err := s.b.store.PinBatchTraced(hs, hb)
+	hb.Set(obs.Int("missing", int64(len(missing))))
+	hb.End()
+	if err != nil {
+		return nil, err
+	}
+	s.st.Wire.WireBytes += int64(len(hs) * hashSize)
+	// Account the pinned (duplicate) chunks now; missing ones are
+	// accounted as their bodies arrive.
+	s.st.Wire.ChunksSkipped += int64(len(hs) - len(missing))
+	s.b.pinned.Add(int64(len(hs) - len(missing)))
+	mi := 0
+	for i := range hs {
+		if mi < len(missing) && missing[mi] == i {
+			mi++
+			continue
+		}
+		s.applied = append(s.applied, hs[i])
+		s.st.Chunks++
+		s.st.DupChunks++
+		s.st.Bytes += refs[i].Length
+	}
+	s.hs, s.owed = hs, missing
+	s.endRound()
+	return missing, nil
+}
+
+// endRound closes the open round once no body is owed: the recipe is
+// content-addressed — the round's fingerprints in stream order, pinned
+// and uploaded alike.
+func (s *storeStream) endRound() {
+	if len(s.owed) == 0 {
+		s.recipe = append(s.recipe, s.hs...)
+		s.hs, s.applied = nil, s.applied[:0]
+	}
+}
+
+func (s *storeStream) RoundBody(body []byte) error {
+	if len(s.owed) == 0 {
+		return errors.New("ingest: body arrived with none owed")
+	}
+	i := s.owed[0]
+	if dedup.Sum(body) != s.hs[i] {
+		// A body that does not hash to its announced fingerprint would
+		// be stored under the wrong address and corrupt every stream
+		// referencing it.
+		return fmt.Errorf("ingest: uploaded body for batch index %d does not match its fingerprint", i)
+	}
+	s.owed = s.owed[1:]
+	s.st.Wire.WireBytes += int64(len(body))
+	s.st.Wire.ChunksSent++
+	err := s.push(s.hs[i], append([]byte(nil), body...))
+	if err == nil && len(s.owed) == 0 {
+		if err = s.flush(); err == nil {
+			s.endRound()
 		}
 	}
 	return err
 }
 
-// serveSession is ServeConn's frame loop, returning the negotiated
-// protocol version alongside the session's fate.
-func (s *Server) serveSession(conn net.Conn, sl *slog.Logger) (byte, error) {
-	eng := s.eng
-	var ver byte // negotiated protocol version; 0 = legacy raw session
-	br := bufio.NewReaderSize(conn, 256<<10)
-	bw := bufio.NewWriterSize(conn, 256<<10)
-	var buf []byte
-	for {
-		typ, payload, rerr := readFrame(br, buf)
-		if rerr == io.EOF {
-			return ver, nil
-		}
-		if rerr != nil {
-			return ver, rerr
-		}
-		s.met.frame(typ)
-		buf = payload[:cap(payload)]
-		switch typ {
-		case MsgHello:
-			neng, spec, nver, ctx, nerr := s.negotiate(payload)
-			if nerr != nil {
-				// A rejected negotiation is fatal to the session: the
-				// client's next frames would be cut with an engine it
-				// did not agree to. Send the bare reason — the client
-				// wraps it in its own NegotiationError.
-				reason := nerr.Error()
-				var ne *NegotiationError
-				if errors.As(nerr, &ne) {
-					reason = ne.Reason
-				}
-				_ = writeFrame(bw, MsgError, []byte(reason))
-				_ = bw.Flush()
-				return ver, nerr
-			}
-			eng, ver = neng, nver
-			sp := s.span("negotiate", ctx, obs.Int("protocol", int64(ver)))
-			if sl != nil {
-				sl.Debug("session negotiated", "protocol", ver,
-					"algo", spec.Algo, "min", spec.MinSize, "max", spec.MaxSize)
-			}
-			err := writeFrame(bw, MsgAccept, encodeHello(ver, spec))
-			if err == nil {
-				err = bw.Flush()
-			}
-			sp.End()
-			if err != nil {
-				return ver, err
-			}
-		case MsgBegin:
-			sp := s.span("backup", obs.SpanContext{}, obs.Str("recipe", string(payload)))
-			err := s.handleBackup(string(payload), ver, eng, br, bw, sl, sp)
-			sp.End()
-			if err != nil {
-				return ver, err
-			}
-		case MsgBeginDedup:
-			if ver < 3 {
-				ferr := &UnexpectedFrameError{Type: typ, Context: "session below protocol version 3"}
-				_ = writeFrame(bw, MsgError, []byte(ferr.Error()))
-				_ = bw.Flush()
-				return ver, ferr
-			}
-			name, ctx, derr := decodeBeginDedup(ver, payload)
-			if derr != nil {
-				_ = writeFrame(bw, MsgError, []byte(derr.Error()))
-				_ = bw.Flush()
-				return ver, derr
-			}
-			sp := s.span("backup_dedup", ctx, obs.Str("recipe", name))
-			err := s.handleDedupBackup(name, ver, br, bw, sl, sp)
-			sp.End()
-			if err != nil {
-				return ver, err
-			}
-		case MsgDelete:
-			if ver < 3 {
-				ferr := &UnexpectedFrameError{Type: typ, Context: "session below protocol version 3"}
-				_ = writeFrame(bw, MsgError, []byte(ferr.Error()))
-				_ = bw.Flush()
-				return ver, ferr
-			}
-			sp := s.span("delete", obs.SpanContext{}, obs.Str("recipe", string(payload)))
-			err := s.handleDelete(string(payload), bw, sl, sp)
-			sp.End()
-			if err != nil {
-				return ver, err
-			}
-		case MsgRestore:
-			sp := s.span("restore", obs.SpanContext{}, obs.Str("recipe", string(payload)))
-			err := s.handleRestore(string(payload), bw, sl, sp)
-			sp.End()
-			if err != nil {
-				return ver, err
-			}
-		default:
-			ferr := &UnexpectedFrameError{Type: typ, Context: "session"}
-			_ = writeFrame(bw, MsgError, []byte(ferr.Error()))
-			_ = bw.Flush()
-			return ver, ferr
-		}
+// Commit puts what is still pending and records the recipe — durably,
+// when the store's backing is.
+func (s *storeStream) Commit() (*StreamStats, error) {
+	if len(s.owed) != 0 {
+		return nil, fmt.Errorf("ingest: commit with %d bodies still owed", len(s.owed))
 	}
-}
-
-// span starts one per-operation root span: parented under the span the
-// client announced on the wire when it sent a trace context, a fresh
-// local root otherwise. Returns nil (a universal no-op) when the
-// server has no tracer.
-func (s *Server) span(name string, ctx obs.SpanContext, attrs ...obs.Attr) *obs.Span {
-	if s.cfg.Tracer == nil {
-		return nil
-	}
-	return s.cfg.Tracer.StartRemote(name, ctx, attrs...)
-}
-
-// negotiate validates a Hello payload and builds the session engine
-// it describes, returning the engine, the accepted spec, the agreed
-// protocol version and the client's trace context (zero below v4).
-// Failures come back as *NegotiationError with the reason the client
-// will see.
-func (s *Server) negotiate(payload []byte) (chunk.Engine, chunk.Spec, byte, obs.SpanContext, error) {
-	version, spec, ctx, err := decodeHello(payload)
-	if err != nil {
-		return nil, chunk.Spec{}, 0, ctx, &NegotiationError{Reason: err.Error()}
-	}
-	max := s.cfg.MaxProtocol
-	if max == 0 {
-		max = ProtocolVersion
-	}
-	if version < MinProtocolVersion || version > max {
-		return nil, chunk.Spec{}, 0, ctx, &NegotiationError{
-			Reason: fmt.Sprintf("unsupported protocol version %d (server speaks %d)", version, max),
-		}
-	}
-	if spec.MaxSize > MaxFrame {
-		return nil, chunk.Spec{}, 0, ctx, &NegotiationError{
-			Reason: fmt.Sprintf("max chunk size %d exceeds the %d-byte frame limit", spec.MaxSize, MaxFrame),
-		}
-	}
-	if version >= 3 && spec.MaxSize <= 0 {
-		// A dedup client uploads each chunk body as one frame; an
-		// unbounded engine could cut a chunk no frame can carry.
-		return nil, chunk.Spec{}, 0, ctx, &NegotiationError{
-			Reason: "dedup sessions need a bounded max chunk size within the frame limit",
-		}
-	}
-	eng, err := newEngine(s.cfg, spec)
-	if err != nil {
-		return nil, chunk.Spec{}, 0, ctx, &NegotiationError{Reason: err.Error()}
-	}
-	return eng, spec, version, ctx, nil
-}
-
-// rawStream reads one raw backup stream off the session: Data frames
-// up to the End frame.
-type rawStream struct {
-	r    *bufio.Reader
-	met  *serverMetrics // nil ok
-	buf  []byte         // frame buffer, reused across frames
-	done bool           // the End frame has been read
-	// broken is set when the stream itself violated the protocol
-	// (truncation, bad frame): the connection is desynchronized and
-	// must not be drained further.
-	broken bool
-}
-
-// next returns the next Data payload — a view into the frame buffer,
-// valid until the following call — or io.EOF once the End frame has
-// been read.
-func (rs *rawStream) next() ([]byte, error) {
-	if rs.done {
-		return nil, io.EOF
-	}
-	typ, payload, err := readFrame(rs.r, rs.buf)
-	if err != nil {
-		if err == io.EOF {
-			// The peer closed on a frame boundary but never sent End:
-			// the stream is truncated, not complete. A bare io.EOF here
-			// would pass the partial stream off as a successful backup.
-			err = &TruncatedError{Context: "backup stream before End frame", Cause: io.ErrUnexpectedEOF}
-		}
-		rs.broken = true
+	if err := s.flush(); err != nil {
 		return nil, err
 	}
-	rs.met.frame(typ)
-	rs.buf = payload[:cap(payload)]
-	switch typ {
-	case MsgData:
-		return payload, nil
-	case MsgEnd:
-		rs.done = true
-		return nil, io.EOF
-	default:
-		rs.broken = true
-		return nil, &UnexpectedFrameError{Type: typ, Context: "backup stream"}
-	}
-}
-
-// drain consumes the remainder of a stream after a server-side error so
-// the client can finish writing and read our Error frame (required for
-// unbuffered transports like net.Pipe).
-func (rs *rawStream) drain() {
-	for {
-		if _, err := rs.next(); err != nil {
-			return
-		}
-	}
-}
-
-// handleBackup runs one stream through chunking, batched dedup and
-// recipe recording, then replies with the stream's stats. The recipe
-// is committed (durably, when the store's backing is) before the
-// MsgStats ack goes out: a stream the client saw acknowledged survives
-// a server restart.
-func (s *Server) handleBackup(name string, ver byte, eng chunk.Engine, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
-	rs := &rawStream{r: br, met: s.met}
-	st, recipe, err := s.ingest(eng, rs, sp)
-	if err == nil {
-		c := sp.Child("commit", obs.Int("chunks", int64(len(recipe))))
-		t0 := time.Now()
-		err = s.store.CommitRecipeTraced(name, recipe, c)
-		s.met.observeCommit(time.Since(t0).Seconds(), sp.Trace())
-		c.End()
-	}
+	c := s.sp.Child("commit", obs.Int("chunks", int64(len(s.recipe))))
+	t0 := time.Now()
+	err := s.b.store.CommitRecipeTraced(s.name, s.recipe, c)
+	s.b.commitSeconds.ObserveSinceExemplar(t0, s.sp.Trace())
+	c.End()
 	if err != nil {
-		// The stream dies uncommitted: give back the references the
-		// flushed batches took, so the aborted backup cannot pin its
-		// chunks against reclamation (recipe holds exactly the applied
-		// prefix — ingest returns it on error for this purpose).
-		if len(recipe) > 0 {
-			_, _ = s.store.Release(recipe)
-		}
-		// Best-effort: let the client finish writing (net.Pipe has no
-		// buffer) and hand it the error before the session dies. When
-		// the stream itself broke protocol the connection is
-		// desynchronized — draining would block on a peer that may
-		// never send another frame, so abort immediately instead.
-		if !rs.broken {
-			rs.drain()
-		}
-		if werr := writeFrame(bw, MsgError, []byte(err.Error())); werr == nil {
-			_ = bw.Flush()
-		}
-		return err
+		return nil, err
 	}
-	// On the raw path every logical byte crossed the wire as a Data
-	// payload. The Wire block reaches v3 clients in the stats reply;
-	// older clients reconstruct the same numbers locally.
-	st.Wire = WireStats{LogicalBytes: st.Bytes, WireBytes: st.Bytes, ChunksSent: st.Chunks}
-	st.Store = s.store.Stats()
-	sp.Set(obs.Int("bytes", st.Bytes), obs.Int("chunks", st.Chunks),
-		obs.Int("dup_chunks", st.DupChunks))
-	s.met.streamCommitted(st)
-	if sl != nil {
-		sl.Info("stream committed", "recipe", name, "bytes", st.Bytes,
-			"chunks", st.Chunks, "dup_chunks", st.DupChunks,
-			"wire_bytes", st.Wire.WireBytes, "ratio", st.DedupRatio())
+	st := &s.st
+	if !s.twoPhase {
+		// Every logical byte crossed the wire as a Data payload.
+		st.Wire = WireStats{WireBytes: st.Bytes, ChunksSent: st.Chunks}
 	}
-	if s.cfg.OnStream != nil {
-		s.cfg.OnStream(name, st)
+	st.Wire.LogicalBytes = st.Bytes
+	st.Store = s.b.store.Stats()
+	if s.b.cfg.OnStream != nil {
+		s.b.cfg.OnStream(s.name, *st)
 	}
-	if err := writeFrame(bw, MsgStats, st.encode(ver)); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return st, nil
 }
 
-// handleDedupBackup runs one two-phase content-addressed backup: the
-// client sends fingerprint batches, the server answers each with the
-// indices it is missing and takes a reference on every chunk it
-// already holds — *inside* the answer, under the shard locks, so a
-// chunk the client is told to skip can never be reclaimed out from
-// under the stream — then ingests the uploaded bodies (verifying each
-// against its announced fingerprint before it can poison the
-// content-addressed store), and finally commits the recipe durably
-// before acking with stats. Store and accounting outcomes are
-// identical to the raw path over the same chunk sequence.
-//
-// Failure delivery mirrors the raw path's drain: an application-level
-// failure (store error, rejected body) cannot just fire an Error frame
-// — on an unbuffered transport the client may be blocked writing
-// bodies while we block writing the error. Instead the handler keeps
-// serving the protocol in drain mode (remaining bodies of the broken
-// round are read and discarded, later HasBatches draw an empty
-// NeedBatch so the client uploads nothing more, and no store state is
-// touched) until the Commit turn, whose reply slot carries the error.
-// Protocol violations abort immediately: the connection is
-// desynchronized and draining it could block forever.
-func (s *Server) handleDedupBackup(name string, ver byte, br *bufio.Reader, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
-	var st StreamStats
-	var recipe shardstore.Recipe
-	var buf []byte
-	var appErr error // first application failure; drain mode afterwards
-	// applied lists every reference this stream has actually taken so
-	// far (pins and stored bodies alike). A stream that dies before its
-	// Commit gives them back — otherwise every aborted backup would pin
-	// its chunks against reclamation forever. Only references known to
-	// be applied are listed: a batch that failed partway is left
-	// counted (a bounded leak, swept by a future fsck) rather than
-	// risk releasing references another stream holds.
-	var applied shardstore.Recipe
-	committed := false
-	defer func() {
-		if !committed && len(applied) > 0 {
-			_, _ = s.store.Release(applied)
-		}
-	}()
-	// abort is for protocol violations: best-effort error frame, die.
-	abort := func(err error) error {
-		if werr := writeFrame(bw, MsgError, []byte(err.Error())); werr == nil {
-			_ = bw.Flush()
-		}
-		return err
+// Abort gives back the references the stream took, so a backup that
+// dies uncommitted cannot pin its chunks against reclamation.
+func (s *storeStream) Abort() {
+	if held := append(s.recipe, s.applied...); len(held) > 0 {
+		_, _ = s.b.store.Release(held)
 	}
-	for {
-		typ, payload, rerr := readFrame(br, buf)
-		if rerr != nil {
-			if rerr == io.EOF {
-				rerr = &TruncatedError{Context: "dedup backup stream before Commit frame", Cause: io.ErrUnexpectedEOF}
-			}
-			return rerr
-		}
-		s.met.frame(typ)
-		buf = payload[:cap(payload)]
-		switch typ {
-		case MsgHasBatch:
-			hs, err := decodeHasBatch(payload)
-			if err != nil {
-				return abort(err)
-			}
-			var refs []shardstore.Ref
-			var missing []int
-			if appErr == nil {
-				st.Wire.WireBytes += int64(len(payload))
-				hb := sp.Child("has_batch", obs.Int("chunks", int64(len(hs))))
-				if refs, missing, err = s.store.PinBatchTraced(hs, hb); err != nil {
-					appErr = err
-				}
-				hb.Set(obs.Int("missing", int64(len(missing))))
-				hb.End()
-			}
-			if appErr != nil {
-				// Draining: tell the client we need nothing so it keeps
-				// its bodies and reaches Commit, where the error waits.
-				if err := writeFrame(bw, MsgNeedBatch, nil); err != nil {
-					return err
-				}
-				if err := bw.Flush(); err != nil {
-					return err
-				}
-				continue
-			}
-			// Account the pinned (duplicate) chunks now; missing ones
-			// are accounted as their bodies arrive.
-			st.Wire.ChunksSkipped += int64(len(hs) - len(missing))
-			s.met.pinned(len(hs) - len(missing))
-			mi := 0
-			for i := range hs {
-				if mi < len(missing) && missing[mi] == i {
-					mi++
-					continue
-				}
-				applied = append(applied, hs[i])
-				st.Chunks++
-				st.DupChunks++
-				st.Bytes += refs[i].Length
-			}
-			if err := writeFrame(bw, MsgNeedBatch, encodeNeedBatch(missing)); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			// Collect the missing bodies, in index order, ingesting in
-			// store-batch-sized groups so memory stays bounded no
-			// matter how large a batch the client announced. After a
-			// failure the round's remaining bodies are still read (the
-			// client already committed to sending them) but discarded.
-			group := make([][]byte, 0, s.cfg.BatchSize)
-			groupHs := make([]shardstore.Hash, 0, s.cfg.BatchSize)
-			flushGroup := func() error {
-				if len(group) == 0 {
-					return nil
-				}
-				put := sp.Child("put_batch", obs.Int("chunks", int64(len(group))))
-				_, pdup, err := s.store.PutHashedBatchTraced(groupHs, group, put)
-				put.End()
-				if err != nil {
-					return err
-				}
-				applied = append(applied, groupHs...)
-				for j := range group {
-					st.Chunks++
-					st.Bytes += int64(len(group[j]))
-					if pdup[j] {
-						// Another session stored it between our answer
-						// and the upload: the body crossed the wire but
-						// the store deduped it.
-						st.DupChunks++
-					} else {
-						st.UniqueBytes += int64(len(group[j]))
-					}
-				}
-				group, groupHs = group[:0], groupHs[:0]
-				return nil
-			}
-			var rb *obs.Span
-			if len(missing) > 0 {
-				rb = sp.Child("recv_bodies", obs.Int("chunks", int64(len(missing))))
-			}
-			var rbBytes int64
-			for _, i := range missing {
-				btyp, body, err := readFrame(br, buf)
-				if err != nil {
-					if err == io.EOF {
-						err = &TruncatedError{Context: "dedup backup body upload", Cause: io.ErrUnexpectedEOF}
-					}
-					rb.End()
-					return err
-				}
-				s.met.frame(btyp)
-				buf = body[:cap(body)]
-				if btyp != MsgData {
-					rb.End()
-					return abort(&UnexpectedFrameError{Type: btyp, Context: "dedup body upload"})
-				}
-				rbBytes += int64(len(body))
-				if appErr != nil {
-					continue
-				}
-				if dedup.Sum(body) != hs[i] {
-					// A body that does not hash to its announced
-					// fingerprint would be stored under the wrong
-					// address and corrupt every stream referencing it.
-					appErr = fmt.Errorf("ingest: uploaded body for batch index %d does not match its fingerprint", i)
-					continue
-				}
-				st.Wire.WireBytes += int64(len(body))
-				st.Wire.ChunksSent++
-				group = append(group, append([]byte(nil), body...))
-				groupHs = append(groupHs, hs[i])
-				if len(group) >= s.cfg.BatchSize {
-					if err := flushGroup(); err != nil {
-						appErr = err
-					}
-				}
-			}
-			rb.Set(obs.Int("bytes", rbBytes))
-			rb.End()
-			if appErr == nil {
-				if err := flushGroup(); err != nil {
-					appErr = err
-				}
-			}
-			if appErr == nil {
-				// The recipe is content-addressed: the round's
-				// fingerprints in stream order, pinned and uploaded alike.
-				recipe = append(recipe, hs...)
-			}
-		case MsgCommit:
-			if appErr == nil {
-				c := sp.Child("commit", obs.Int("chunks", int64(len(recipe))))
-				t0 := time.Now()
-				appErr = s.store.CommitRecipeTraced(name, recipe, c)
-				s.met.observeCommit(time.Since(t0).Seconds(), sp.Trace())
-				c.End()
-			}
-			if appErr != nil {
-				if err := writeFrame(bw, MsgError, []byte(appErr.Error())); err != nil {
-					return err
-				}
-				if err := bw.Flush(); err != nil {
-					return err
-				}
-				return appErr
-			}
-			committed = true
-			st.Wire.LogicalBytes = st.Bytes
-			st.Store = s.store.Stats()
-			sp.Set(obs.Int("bytes", st.Bytes), obs.Int("chunks", st.Chunks),
-				obs.Int("dup_chunks", st.DupChunks),
-				obs.Int("wire_bytes", st.Wire.WireBytes),
-				obs.Int("chunks_skipped", st.Wire.ChunksSkipped))
-			s.met.streamCommitted(st)
-			if sl != nil {
-				sl.Info("stream committed", "recipe", name, "bytes", st.Bytes,
-					"chunks", st.Chunks, "dup_chunks", st.DupChunks,
-					"wire_bytes", st.Wire.WireBytes,
-					"chunks_skipped", st.Wire.ChunksSkipped, "ratio", st.DedupRatio())
-			}
-			if s.cfg.OnStream != nil {
-				s.cfg.OnStream(name, st)
-			}
-			if err := writeFrame(bw, MsgStats, st.encode(ver)); err != nil {
-				return err
-			}
-			return bw.Flush()
-		default:
-			return abort(&UnexpectedFrameError{Type: typ, Context: "dedup backup stream"})
-		}
-	}
-}
-
-// ingest chunks one stream — each Data payload written straight into
-// the engine's stream — and dedups it against the shared store in
-// BatchSize batches, returning the stream stats and its recipe.
-func (s *Server) ingest(eng chunk.Engine, rs *rawStream, sp *obs.Span) (StreamStats, shardstore.Recipe, error) {
-	var st StreamStats
-	var recipe shardstore.Recipe
-	batch := make([][]byte, 0, s.cfg.BatchSize)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		hs := make([]shardstore.Hash, len(batch))
-		for i, c := range batch {
-			hs[i] = dedup.Sum(c)
-		}
-		put := sp.Child("put_batch", obs.Int("chunks", int64(len(batch))))
-		_, dup, err := s.store.PutHashedBatchTraced(hs, batch, put)
-		put.End()
-		if err != nil {
-			return err
-		}
-		recipe = append(recipe, hs...)
-		for i, c := range batch {
-			st.Chunks++
-			st.Bytes += int64(len(c))
-			if dup[i] {
-				st.DupChunks++
-			} else {
-				st.UniqueBytes += int64(len(c))
-			}
-		}
-		batch = batch[:0]
-		return nil
-	}
-	stm := eng.Stream(func(c chunk.Chunk, data []byte) error {
-		// data is only valid for the call: copy before holding it
-		// across the batch boundary.
-		batch = append(batch, append([]byte(nil), data...))
-		if len(batch) >= s.cfg.BatchSize {
-			return flush()
-		}
-		return nil
-	})
-	// The partial recipe goes back even on error: it lists exactly the
-	// references the flushed batches applied, which the caller releases
-	// when the stream cannot commit.
-	for {
-		payload, err := rs.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return StreamStats{}, recipe, err
-		}
-		if _, err := stm.Write(payload); err != nil {
-			return StreamStats{}, recipe, err
-		}
-	}
-	if err := stm.Close(); err != nil {
-		return StreamStats{}, recipe, err
-	}
-	if err := flush(); err != nil {
-		return StreamStats{}, recipe, err
-	}
-	return st, recipe, nil
-}
-
-// handleDelete expires one named stream: the recipe is tombstoned
-// durably and its chunk references released before the ack goes out.
-// An unknown name is an application error the session survives (like
-// an unknown restore); a store failure kills the session.
-func (s *Server) handleDelete(name string, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
-	ds, err := s.store.DeleteRecipeTraced(name, sp)
-	if err != nil {
-		if werr := writeFrame(bw, MsgError, []byte(err.Error())); werr != nil {
-			return werr
-		}
-		if ferr := bw.Flush(); ferr != nil {
-			return ferr
-		}
-		if errors.Is(err, shardstore.ErrUnknownRecipe) {
-			return nil
-		}
-		return err
-	}
-	sp.Set(obs.Int("released", ds.ChunksReleased),
-		obs.Int("freed_chunks", ds.ChunksFreed), obs.Int("freed_bytes", ds.BytesFreed))
-	if sl != nil {
-		sl.Info("recipe deleted", "recipe", name, "released", ds.ChunksReleased,
-			"freed_chunks", ds.ChunksFreed, "freed_bytes", ds.BytesFreed)
-	}
-	if s.cfg.OnDelete != nil {
-		s.cfg.OnDelete(name, ds)
-	}
-	if err := writeFrame(bw, MsgDeleteOK, encodeDeleteResult(ds)); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// handleRestore streams a recorded recipe back as Data frames.
-func (s *Server) handleRestore(name string, bw *bufio.Writer, sl *slog.Logger, sp *obs.Span) error {
-	if sl != nil {
-		sl.Debug("stream restored", "recipe", name)
-	}
-	recipe, ok := s.Recipe(name)
-	if !ok {
-		// The canonical unknown-recipe text: clients type it as a
-		// *NotFoundError, exactly like an unknown delete.
-		if err := writeFrame(bw, MsgError, []byte(fmt.Sprintf("%v: %q", shardstore.ErrUnknownRecipe, name))); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	var sent int64
-	for i, h := range recipe {
-		data, ok, err := s.store.GetByHash(h)
-		if err == nil && !ok {
-			err = fmt.Errorf("stream %q entry %d: no chunk for %x", name, i, h[:8])
-		}
-		if err != nil {
-			_ = writeFrame(bw, MsgError, []byte(err.Error()))
-			return bw.Flush()
-		}
-		// Frame boundaries need not align to chunks: split oversized
-		// chunks (possible when the pipeline runs without a MaxSize)
-		// so a recorded stream can always be restored.
-		for len(data) > 0 {
-			n := len(data)
-			if n > DefaultFrameSize {
-				n = DefaultFrameSize
-			}
-			if err := writeFrame(bw, MsgData, data[:n]); err != nil {
-				return err
-			}
-			sent += int64(n)
-			data = data[n:]
-		}
-	}
-	sp.Set(obs.Int("chunks", int64(len(recipe))), obs.Int("bytes", sent))
-	if err := writeFrame(bw, MsgEnd, nil); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

@@ -112,7 +112,7 @@ func TestConnectedTrace(t *testing.T) {
 		defer send.Close()
 		_ = srv.ServeConn(send)
 	}()
-	c := NewClient(cend)
+	c := NewSession(cend)
 	c.SetTracer(tr)
 	if _, err := c.NegotiateDedup(cfg.Shredder.Chunking); err != nil {
 		t.Fatal(err)

@@ -1,22 +1,11 @@
 package ingest
 
-import (
-	"io"
+import "io"
 
-	"shredder/internal/chunk"
-	"shredder/internal/dedup"
-	"shredder/internal/obs"
-	"shredder/internal/shardstore"
-)
-
-// The exported wire surface: the frame and payload codecs a routing
-// layer (internal/cluster) needs to serve the client-facing side of
-// the protocol itself — accepting ordinary Session clients, splitting
-// their streams by chunk ownership, and fanning the pieces out to
-// owner nodes through this package's Session. Keeping the codecs here,
-// as thin wrappers over the private implementations the Server and
-// Session use, means there is exactly one definition of the wire
-// format in the tree.
+// The exported frame codec, for tools that measure or speak the wire
+// outside a Session or Frontend (the bench/ module replays it). Thin
+// wrappers over the private implementations, so there is exactly one
+// definition of the frame format in the tree.
 
 // WriteFrame emits one frame: a 1-byte type, a 4-byte big-endian
 // payload length, then the payload (bounded by MaxFrame).
@@ -30,46 +19,4 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 // a frame boundary returns bare io.EOF; every other failure is typed.
 func ReadFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 	return readFrame(r, buf)
-}
-
-// EncodeHello builds a MsgHello/MsgAccept payload (no trace context).
-func EncodeHello(version byte, spec chunk.Spec) []byte {
-	return encodeHello(version, spec)
-}
-
-// DecodeHello parses a MsgHello/MsgAccept payload: the proposed
-// version, the (validated) chunking spec, and the sender's trace
-// context on a traced v4 payload (zero otherwise).
-func DecodeHello(p []byte) (byte, chunk.Spec, obs.SpanContext, error) {
-	return decodeHello(p)
-}
-
-// DecodeBeginDedup parses a MsgBeginDedup payload for the session's
-// negotiated version: the stream name, plus the client's trace context
-// on a traced v4 payload.
-func DecodeBeginDedup(version byte, p []byte) (string, obs.SpanContext, error) {
-	return decodeBeginDedup(version, p)
-}
-
-// DecodeHasBatchPayload parses a MsgHasBatch payload into its
-// fingerprints.
-func DecodeHasBatchPayload(p []byte) ([]dedup.Hash, error) {
-	return decodeHasBatch(p)
-}
-
-// EncodeNeedBatch packs ascending missing-set indices into a
-// MsgNeedBatch payload.
-func EncodeNeedBatch(idxs []int) []byte {
-	return encodeNeedBatch(idxs)
-}
-
-// EncodeStreamStats serializes a MsgStats payload in the layout the
-// session's negotiated version expects (≥ 3 carries WireStats).
-func EncodeStreamStats(st StreamStats, version byte) []byte {
-	return st.encode(version)
-}
-
-// EncodeDeleteStats serializes a MsgDeleteOK payload.
-func EncodeDeleteStats(ds shardstore.DeleteStats) []byte {
-	return encodeDeleteResult(ds)
 }

@@ -18,13 +18,13 @@ import (
 )
 
 // serveConn wires one in-memory client session to a server.
-func serveConn(srv *ingest.Server) *ingest.Client {
+func serveConn(srv *ingest.Server) *ingest.Session {
 	cend, send := net.Pipe()
 	go func() {
 		defer send.Close()
 		_ = srv.ServeConn(send)
 	}()
-	return ingest.NewClient(cend)
+	return ingest.NewSession(cend)
 }
 
 // TestServerRestartRoundTrip is the acceptance path for the

@@ -10,11 +10,10 @@ import (
 	"shredder/internal/workload"
 )
 
-// Ablation benchmarks isolate each design decision DESIGN.md calls
-// out: the three pipeline optimizations, the kernel micro-
-// optimizations (§5.2.2), the allocator strategy (§5.1), and the
-// future-work extensions (multi-GPU, GPUDirect, redundancy
-// elimination). Each benchmark reports the *simulated* throughput of
+// Ablation benchmarks isolate each design decision of the paper: the
+// three pipeline optimizations, the kernel micro-optimizations
+// (§5.2.2), the allocator strategy (§5.1), and the future-work
+// extensions (multi-GPU, GPUDirect, redundancy elimination). Each benchmark reports the *simulated* throughput of
 // the configuration as a custom metric alongside the usual wall-clock
 // numbers.
 

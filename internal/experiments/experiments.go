@@ -4,9 +4,10 @@
 // prints them and the repository-level benchmarks wrap them, so the
 // whole evaluation is reproducible from one place.
 //
-// Absolute numbers come from the calibrated simulation models (see
-// DESIGN.md §5); the claims preserved are the paper's shapes: who wins,
-// by what factor, and where curves saturate or cross.
+// Absolute numbers come from the calibrated simulation models
+// (internal/gpu, internal/pcie, internal/hostmem, internal/host); the
+// claims preserved are the paper's shapes: who wins, by what factor,
+// and where curves saturate or cross.
 package experiments
 
 import (

@@ -88,22 +88,11 @@ func (m *pmetrics) addRecoverSince(t0 time.Time) {
 	m.recoverNanos.Add(time.Since(t0).Nanoseconds())
 }
 
-// presenceEntries sums the per-shard presence sets.
-func (b *Backing) presenceEntries() int64 {
-	var n int64
-	for _, sh := range b.shards {
-		sh.mu.Lock()
-		n += int64(len(sh.present))
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Instrument registers the backing's metric families on reg: WAL and
 // recipe-journal append counts, fsync count and latency (labeled by the
-// configured policy), checkpoint count, recovery duration and presence-
-// set size. Everything but the fsync latency histogram is evaluated at
-// scrape time. A nil registry is a no-op; call at most once.
+// configured policy), checkpoint count and recovery duration.
+// Everything but the fsync latency histogram is evaluated at scrape
+// time. A nil registry is a no-op; call at most once.
 func (b *Backing) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -132,9 +121,6 @@ func (b *Backing) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("persist_recovery_seconds",
 		"Cumulative wall time the last open spent replaying shard WALs.",
 		func() float64 { return float64(b.met.recoverNanos.Load()) / 1e9 })
-	reg.GaugeFunc("persist_presence_entries",
-		"Fingerprints in the shards' presence sets (the Missing query index).",
-		func() float64 { return float64(b.presenceEntries()) })
 	reg.GaugeFunc("persist_recipe_log_bytes",
 		"Current recipe journal size on disk.",
 		func() float64 {

@@ -26,7 +26,6 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"os"
@@ -309,21 +308,6 @@ func (b *Backing) NumShards() int { return len(b.shards) }
 
 // Shard returns stripe i's backing.
 func (b *Backing) Shard(i int) shardstore.ShardBacking { return b.shards[i] }
-
-// Missing reports which fingerprints no shard has a chunk for, as
-// ascending indices into hs: the entries recovered at open plus every
-// Append since — the same answer a Store on this backing gives.
-func (b *Backing) Missing(hs []shardstore.Hash) []int {
-	mask := uint32(len(b.shards) - 1)
-	missing := make([]int, 0, len(hs))
-	for i := range hs {
-		sh := b.shards[binary.BigEndian.Uint32(hs[i][:4])&mask]
-		if !sh.has(hs[i]) {
-			missing = append(missing, i)
-		}
-	}
-	return missing
-}
 
 // SetSpan installs (or, with nil, clears) the span the recipe
 // journal's appends and fsyncs should attach to — shardstore's

@@ -48,10 +48,6 @@ type diskShard struct {
 	// and installing the new one: the shard fail-stops journal writes
 	// with the original fault instead of a nil-file error.
 	failed error
-	// present mirrors the fingerprints with a live index entry
-	// (recovered at open plus appended since, minus forgotten), for
-	// Backing.Missing.
-	present map[shardstore.Hash]struct{}
 }
 
 // containerFile is one append-only container on disk.
@@ -113,8 +109,13 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 		return err
 	}
 
-	index := make(map[shardstore.Hash]shardstore.Ref)
-	refcount := make(map[shardstore.Hash]int64)
+	// index is transient: replay folds the journal into it, fn receives
+	// the survivors, and the shard keeps no per-fingerprint state after.
+	type entry struct {
+		ref  shardstore.Ref
+		refs int64
+	}
+	index := make(map[shardstore.Hash]entry)
 	// watermarks[i] is the highest journaled byte of container i; bytes
 	// past it were written but never made it into the surviving WAL
 	// prefix, so they are cut off below.
@@ -127,6 +128,7 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 	// would silently discard every later record and shrink intact
 	// containers to match. Refuse to open instead.
 	var lostContainer error
+	var scratch []byte // grow-only, reused by every re-hash under verify
 	validate := func(h shardstore.Hash, ci int, off, length int64) bool {
 		if ci >= 0 && ci < len(s.containers) && s.containers[ci] == nil {
 			lostContainer = fmt.Errorf("persist: shard %d WAL references container %d, whose file is missing", s.id, ci)
@@ -140,7 +142,10 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 			// Re-hash the chunk: catches bytes the filesystem lost in
 			// ways the size check cannot see (zero-filled pages after
 			// power loss under relaxed fsync).
-			buf := make([]byte, length)
+			if int64(cap(scratch)) < length {
+				scratch = make([]byte, length)
+			}
+			buf := scratch[:length]
 			if _, rerr := s.containers[ci].f.ReadAt(buf, off); rerr != nil {
 				return false
 			}
@@ -171,8 +176,7 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 			if _, dup := index[h]; dup {
 				return errTornRecord
 			}
-			index[h] = shardstore.Ref{Shard: s.id, Container: ci, Offset: off, Length: length}
-			refcount[h] = 1
+			index[h] = entry{shardstore.Ref{Shard: s.id, Container: ci, Offset: off, Length: length}, 1}
 			if off+length > watermarks[ci] {
 				watermarks[ci] = off + length
 			}
@@ -181,23 +185,24 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 			if derr != nil {
 				return errTornRecord
 			}
-			if _, ok := index[h]; !ok {
+			e, ok := index[h]
+			if !ok {
 				return errTornRecord
 			}
-			refcount[h] += delta
-			if refcount[h] < 1 {
+			if e.refs += delta; e.refs < 1 {
 				// A delete released the entry; the bytes stay until
 				// compaction reclaims them.
 				delete(index, h)
-				delete(refcount, h)
+			} else {
+				index[h] = e
 			}
 		case recRelocate:
 			h, ci, off, length, derr := decodeRelocate(body)
 			if derr != nil {
 				return errTornRecord
 			}
-			ref, ok := index[h]
-			if !ok || ref.Length != length {
+			e, ok := index[h]
+			if !ok || e.ref.Length != length {
 				return errTornRecord
 			}
 			if !validate(h, ci, off, length) {
@@ -210,7 +215,7 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 				// happens after a checkpoint that survives replay.
 				return errTornRecord
 			}
-			index[h] = shardstore.Ref{Shard: s.id, Container: ci, Offset: off, Length: length}
+			index[h] = entry{shardstore.Ref{Shard: s.id, Container: ci, Offset: off, Length: length}, e.refs}
 			if off+length > watermarks[ci] {
 				watermarks[ci] = off + length
 			}
@@ -236,10 +241,8 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 			cf.size = watermarks[i]
 		}
 	}
-	s.present = make(map[shardstore.Hash]struct{}, len(index))
-	for h, ref := range index {
-		s.present[h] = struct{}{}
-		if err := fn(h, ref, refcount[h]); err != nil {
+	for h, e := range index {
+		if err := fn(h, e.ref, e.refs); err != nil {
 			return err
 		}
 	}
@@ -253,22 +256,6 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 func (s *diskShard) SetSpan(sp *obs.Span) {
 	s.mu.Lock()
 	s.span = sp
-	s.mu.Unlock()
-}
-
-// has reports whether the shard holds a chunk for h.
-func (s *diskShard) has(h shardstore.Hash) bool {
-	s.mu.Lock()
-	_, ok := s.present[h]
-	s.mu.Unlock()
-	return ok
-}
-
-// Forget removes a dropped entry from the presence set (the journal
-// side is the refcount decrement the store already staged).
-func (s *diskShard) Forget(h shardstore.Hash) {
-	s.mu.Lock()
-	delete(s.present, h)
 	s.mu.Unlock()
 }
 
@@ -355,13 +342,12 @@ func (s *diskShard) Append(h shardstore.Hash, data []byte) (int, int64, error) {
 	}
 	s.walBuf = appendRecord(s.walBuf, encodeInsert(h, ci, off, int64(len(data))))
 	s.met.walRecords.Add(1)
-	s.present[h] = struct{}{}
 	return ci, off, nil
 }
 
 // Relocate re-packs a surviving chunk's bytes during compaction and
-// stages the relocation record. The entry stays present; only its
-// location changes.
+// stages the relocation record: the entry keeps its fingerprint and
+// reference count, only its location changes.
 func (s *diskShard) Relocate(h shardstore.Hash, data []byte) (int, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -2,11 +2,12 @@ package shardstore
 
 // Backing is the pluggable storage layer behind a Store: it owns the
 // chunk bytes (container packing) and whatever durability machinery the
-// implementation provides. The Store keeps the fingerprint index and
-// reference counts in memory in front of it; a durable backing
-// (internal/persist) journals every index mutation to a write-ahead log
-// so Open can hand the maps back after a restart, while MemoryBacking
-// journals nothing and recovers nothing.
+// implementation provides. The Store keeps the fingerprint index (with
+// its reference counts) in memory in front of it and is the only holder
+// of per-fingerprint state: a backing keeps none once Recover returns.
+// A durable backing (internal/persist) journals every index mutation
+// to a write-ahead log so Open can hand the entries back after a
+// restart, while MemoryBacking journals nothing and recovers nothing.
 //
 // A Backing is used by exactly one Store. The Store serializes all
 // calls to one ShardBacking behind that shard's stripe lock, but
@@ -18,15 +19,6 @@ type Backing interface {
 	NumShards() int
 	// Shard returns the backing for stripe i in [0, NumShards).
 	Shard(i int) ShardBacking
-	// Missing reports which of the given fingerprints the backing
-	// holds no chunk for, as ascending indices into hs — the same
-	// answer Store.Missing gives (asserted differentially in tests),
-	// but available without a Store on top, so index-less tooling and
-	// a fingerprint-routing layer can query presence straight off a
-	// backing. It reflects the entries recovered at open plus every
-	// Append since, minus every Forget, does its own locking, and is
-	// safe to call concurrently with ongoing writes.
-	Missing(hs []Hash) []int
 	// CommitRecipe durably records a named stream recipe. The Store
 	// keeps its own in-memory recipe map; the backing only needs to
 	// guarantee Recipes returns the same set after a reopen.
@@ -71,8 +63,10 @@ type CheckpointEntry struct {
 }
 
 // ShardBacking is one stripe of a Backing: an append-only container
-// set plus the journal of index mutations applied to it. Recover must
-// be called once, before any other method (Store.Open does this).
+// set plus the journal of index mutations applied to it. It answers
+// for locations, never for fingerprints: which of them are live is the
+// Store's index alone. Recover must be called once, before any other
+// method (Store.Open does this).
 type ShardBacking interface {
 	// Recover replays the shard's durable state, calling fn once per
 	// live index entry with its final reference count. A fresh or
@@ -86,11 +80,6 @@ type ShardBacking interface {
 	// entry: +1 per duplicate hit or pin, -1 per recipe-delete release.
 	// Replay drops an entry whose count reaches zero.
 	LogRefDelta(h Hash, delta int64) error
-	// Forget removes h from the backing's presence set after the Store
-	// dropped its index entry (refcount reached zero). The journal side
-	// is the LogRefDelta the Store already staged; Forget only keeps
-	// the answer Missing gives in sync with the live index.
-	Forget(h Hash)
 	// Commit marks the end of one batch of Append/LogRefDelta calls:
 	// the backing flushes its journal, honoring its fsync policy.
 	Commit() error

@@ -1,10 +1,8 @@
 package shardstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"shredder/internal/dedup"
 )
@@ -17,16 +15,11 @@ type MemoryBacking struct {
 	shards []*memShard
 }
 
-// memShard is one in-memory stripe: the container slices, append-only.
-// present mirrors the fingerprints appended so far behind its own lock
-// (the container fields are serialized by the Store's stripe lock, but
-// Missing may be called concurrently from outside the Store).
+// memShard is one in-memory stripe: the container slices, append-only,
+// serialized by the Store's stripe lock.
 type memShard struct {
 	containerSize int64
 	containers    [][]byte
-
-	mu      sync.RWMutex
-	present map[Hash]struct{}
 }
 
 // NewMemoryBacking lays out an in-memory backing with the given shard
@@ -50,7 +43,7 @@ func NewMemoryBacking(shards int, containerSize int64) (*MemoryBacking, error) {
 	}
 	b := &MemoryBacking{shards: make([]*memShard, shards)}
 	for i := range b.shards {
-		b.shards[i] = &memShard{containerSize: containerSize, present: make(map[Hash]struct{})}
+		b.shards[i] = &memShard{containerSize: containerSize}
 	}
 	return b, nil
 }
@@ -63,39 +56,15 @@ func (b *MemoryBacking) Recipes() (map[string]Recipe, error) { return nil, nil }
 func (b *MemoryBacking) Sync() error                         { return nil }
 func (b *MemoryBacking) Close() error                        { return nil }
 
-// Missing reports which fingerprints no shard has a chunk for, as
-// ascending indices into hs.
-func (b *MemoryBacking) Missing(hs []Hash) []int {
-	mask := uint32(len(b.shards) - 1)
-	missing := make([]int, 0, len(hs))
-	for i := range hs {
-		m := b.shards[binary.BigEndian.Uint32(hs[i][:4])&mask]
-		m.mu.RLock()
-		_, ok := m.present[hs[i]]
-		m.mu.RUnlock()
-		if !ok {
-			missing = append(missing, i)
-		}
-	}
-	return missing
-}
-
 // Recover is a no-op: memory starts empty.
 func (m *memShard) Recover(func(Hash, Ref, int64) error) error { return nil }
 
-// Append packs data into the open container, identical to
-// dedup.Store.append. Containers are append-only: bytes at an occupied
-// offset are never rewritten, so refs handed out remain valid views.
-func (m *memShard) Append(h Hash, data []byte) (int, int64, error) {
-	m.mu.Lock()
-	m.present[h] = struct{}{}
-	m.mu.Unlock()
-	return m.pack(data)
-}
-
-// pack places data in the open container, rolling when full. The open
-// (last) container is never nil: Checkpoint only drops earlier slots.
-func (m *memShard) pack(data []byte) (int, int64, error) {
+// Append packs data into the open container (rolling when full),
+// identical to dedup.Store.append. Containers are append-only: bytes at
+// an occupied offset are never rewritten, so refs handed out remain
+// valid views. The open (last) container is never nil: Checkpoint only
+// drops earlier slots.
+func (m *memShard) Append(_ Hash, data []byte) (int, int64, error) {
 	if len(m.containers) == 0 || int64(len(m.containers[len(m.containers)-1]))+int64(len(data)) > m.containerSize {
 		m.containers = append(m.containers, make([]byte, 0, m.containerSize))
 	}
@@ -106,21 +75,14 @@ func (m *memShard) pack(data []byte) (int, int64, error) {
 	return ci, off, nil
 }
 
-// Relocate re-packs a surviving chunk during compaction; h is already
-// present, so only the bytes move.
+// Relocate re-packs a surviving chunk during compaction: with nothing
+// to journal, a move is an append.
 func (m *memShard) Relocate(h Hash, data []byte) (int, int64, error) {
-	return m.pack(data)
+	return m.Append(h, data)
 }
 
 func (m *memShard) LogRefDelta(Hash, int64) error { return nil }
 func (m *memShard) Commit() error                 { return nil }
-
-// Forget removes a dropped entry from the presence set.
-func (m *memShard) Forget(h Hash) {
-	m.mu.Lock()
-	delete(m.present, h)
-	m.mu.Unlock()
-}
 
 // ContainerLen reports container i's byte count, -1 for dropped slots.
 func (m *memShard) ContainerLen(i int) int64 {

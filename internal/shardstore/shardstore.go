@@ -70,11 +70,13 @@ const MaxShards = 1024
 // name the store has no recipe for.
 var ErrUnknownRecipe = errors.New("shardstore: unknown recipe")
 
-// loc is a physical location within one shard, the reverse-index key
-// mapping a container slot back to the fingerprint stored there.
-type loc struct {
-	container int
-	offset    int64
+// entry is everything a shard knows about one stored chunk: where its
+// bytes live and how many references (recipe entries, pins of streams
+// still in flight) hold it. refs is at least 1 for as long as the entry
+// is in the index.
+type entry struct {
+	ref  Ref
+	refs int64
 }
 
 // spanSink is implemented by backings that can attribute their I/O
@@ -89,19 +91,18 @@ type spanSink interface {
 }
 
 // shard is one stripe of the store. All fields but the immutable idx,
-// back and sink handles are guarded by mu.
+// back and sink handles are guarded by mu. index is the only per-chunk
+// structure: which fingerprints are live, where, and with how many
+// references.
 type shard struct {
-	mu       sync.RWMutex
-	idx      int // this shard's position in Store.shards
-	back     ShardBacking
-	sink     spanSink // back as a spanSink, nil when unsupported
-	index    map[Hash]Ref
-	refcount map[Hash]int64
+	mu    sync.RWMutex
+	idx   int // this shard's position in Store.shards
+	back  ShardBacking
+	sink  spanSink // back as a spanSink, nil when unsupported
+	index map[Hash]entry
 	// live tracks the live (index-referenced) bytes per container, the
-	// signal the compactor picks victims by; byLoc is the reverse index
-	// from location to fingerprint, maintained on insert/relocate/drop.
-	live  map[int]int64
-	byLoc map[loc]Hash
+	// signal the compactor picks victims by.
+	live map[int]int64
 }
 
 // setSpan hands the active span to the backing when it cares. The
@@ -176,12 +177,10 @@ func Open(b Backing) (*Store, error) {
 	s := &Store{backing: b, shards: make([]*shard, n), mask: uint32(n - 1)}
 	for i := range s.shards {
 		sh := &shard{
-			idx:      i,
-			back:     b.Shard(i),
-			index:    make(map[Hash]Ref),
-			refcount: make(map[Hash]int64),
-			live:     make(map[int]int64),
-			byLoc:    make(map[loc]Hash),
+			idx:   i,
+			back:  b.Shard(i),
+			index: make(map[Hash]entry),
+			live:  make(map[int]int64),
 		}
 		sh.sink, _ = sh.back.(spanSink)
 		err := sh.back.Recover(func(h Hash, ref Ref, rc int64) error {
@@ -189,10 +188,8 @@ func Open(b Backing) (*Store, error) {
 				return fmt.Errorf("shardstore: shard %d recovered refcount %d for %x", i, rc, h[:8])
 			}
 			ref.Shard = i
-			sh.index[h] = ref
-			sh.refcount[h] = rc
+			sh.index[h] = entry{ref, rc}
 			sh.live[ref.Container] += ref.Length
-			sh.byLoc[loc{ref.Container, ref.Offset}] = h
 			// Every counter is derivable from the recovered entries: one
 			// unique insert plus rc-1 duplicate hits of ref.Length bytes.
 			s.unique.Add(1)
@@ -243,83 +240,43 @@ func (s *Store) shardFor(h Hash) *shard {
 }
 
 // Put stores one chunk, returning its location and whether it was a
-// duplicate of existing content. A non-nil error means the backing
-// rejected the write (impossible for MemoryBacking).
+// duplicate of existing content: a one-element PutBatch. A non-nil
+// error means the backing rejected the write (impossible for
+// MemoryBacking).
 func (s *Store) Put(data []byte) (Ref, bool, error) {
-	return s.PutHashed(dedup.Sum(data), data)
-}
-
-// PutHashed stores one chunk whose fingerprint the caller has already
-// computed — the entry point for protocols that ship hashes ahead of
-// data (client-side matching), and the primitive Put builds on. Like
-// PutBatch, a chunk that was applied stays applied (and accounted)
-// even when the backing's Commit then fails — the aggregate Stats must
-// keep matching the index a restart would recover.
-func (s *Store) PutHashed(h Hash, data []byte) (Ref, bool, error) {
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	ref, dup, err := sh.put(h, data)
-	var cerr error
-	if err == nil {
-		cerr = sh.back.Commit()
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return Ref{}, false, err
-	}
-	s.account(int64(len(data)), dup)
-	if cerr == nil {
-		cerr = s.commitBarrier()
-	}
-	return ref, dup, cerr
-}
-
-// account updates the aggregate counters for one stored chunk.
-func (s *Store) account(n int64, dup bool) {
-	s.chunks.Add(1)
-	s.logical.Add(n)
-	if dup {
-		s.hits.Add(1)
-	} else {
-		s.unique.Add(1)
-		s.stored.Add(n)
-	}
+	refs, dup, err := s.PutBatch([][]byte{data})
+	return refs[0], dup[0], err
 }
 
 // put is the single-shard insert; the caller holds sh.mu.
 func (sh *shard) put(h Hash, data []byte) (Ref, bool, error) {
-	if ref, ok := sh.index[h]; ok {
+	if e, ok := sh.index[h]; ok {
 		if err := sh.back.LogRefDelta(h, 1); err != nil {
 			return Ref{}, false, err
 		}
-		sh.refcount[h]++
-		return ref, true, nil
+		sh.index[h] = entry{e.ref, e.refs + 1}
+		return e.ref, true, nil
 	}
 	ci, off, err := sh.back.Append(h, data)
 	if err != nil {
 		return Ref{}, false, err
 	}
 	ref := Ref{Shard: sh.idx, Container: ci, Offset: off, Length: int64(len(data))}
-	sh.index[h] = ref
-	sh.refcount[h] = 1
+	sh.index[h] = entry{ref, 1}
 	sh.live[ci] += ref.Length
-	sh.byLoc[loc{ci, off}] = h
 	return ref, false, nil
 }
 
 // release drops one reference from h; at zero the entry leaves the
 // index (its bytes stay in the container until compaction). The caller
 // holds sh.mu and has already journaled the decrement.
-func (sh *shard) release(h Hash, ref Ref) (freed bool) {
-	sh.refcount[h]--
-	if sh.refcount[h] > 0 {
+func (sh *shard) release(h Hash, e entry) (freed bool) {
+	if e.refs > 1 {
+		sh.index[h] = entry{e.ref, e.refs - 1}
 		return false
 	}
 	delete(sh.index, h)
-	delete(sh.refcount, h)
-	delete(sh.byLoc, loc{ref.Container, ref.Offset})
-	sh.live[ref.Container] -= ref.Length
-	sh.back.Forget(h)
+	sh.live[e.ref.Container] -= e.ref.Length
 	return true
 }
 
@@ -328,9 +285,9 @@ func (sh *shard) release(h Hash, ref Ref) (freed bool) {
 func (s *Store) Has(h Hash) (Ref, bool) {
 	sh := s.shardFor(h)
 	sh.mu.RLock()
-	ref, ok := sh.index[h]
+	e, ok := sh.index[h]
 	sh.mu.RUnlock()
-	return ref, ok
+	return e.ref, ok
 }
 
 // HasBatch answers one Matching query per fingerprint, grouping the
@@ -402,18 +359,18 @@ func (s *Store) PinBatchTraced(hs []Hash, sp *obs.Span) (refs []Ref, missing []i
 		}
 		pinned := false
 		for _, i := range idxs {
-			ref, ok := sh.index[hs[i]]
+			e, ok := sh.index[hs[i]]
 			if !ok {
 				continue
 			}
 			if err := sh.back.LogRefDelta(hs[i], 1); err != nil {
 				return err
 			}
-			sh.refcount[hs[i]]++
-			refs[i], found[i] = ref, true
+			sh.index[hs[i]] = entry{e.ref, e.refs + 1}
+			refs[i], found[i] = e.ref, true
 			chunksN++
 			dups++
-			logical += ref.Length
+			logical += e.ref.Length
 			pinned = true
 		}
 		if pinned {
@@ -444,11 +401,16 @@ func (s *Store) PinBatchTraced(hs []Hash, sp *obs.Span) (refs []Ref, missing []i
 // backing error the batch stops early: chunks already applied stay
 // applied (and accounted), the rest of the refs are zero.
 func (s *Store) PutBatch(chunks [][]byte) ([]Ref, []bool, error) {
+	return s.PutHashedBatch(sums(chunks), chunks)
+}
+
+// sums fingerprints every chunk of a batch.
+func sums(chunks [][]byte) []Hash {
 	hs := make([]Hash, len(chunks))
 	for i, c := range chunks {
 		hs[i] = dedup.Sum(c)
 	}
-	return s.PutHashedBatch(hs, chunks)
+	return hs
 }
 
 // PutHashedBatch is PutBatch for callers that already hold the
@@ -554,11 +516,11 @@ func (s *Store) GetByHash(h Hash) (data []byte, ok bool, err error) {
 	sh := s.shardFor(h)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ref, ok := sh.index[h]
+	e, ok := sh.index[h]
 	if !ok {
 		return nil, false, nil
 	}
-	data, err = sh.back.Read(ref.Container, ref.Offset, ref.Length)
+	data, err = sh.back.Read(e.ref.Container, e.ref.Offset, e.ref.Length)
 	return data, true, err
 }
 
@@ -593,7 +555,7 @@ func (s *Store) Containers() int {
 func (s *Store) Refcount(h Hash) int64 {
 	sh := s.shardFor(h)
 	sh.mu.RLock()
-	n := sh.refcount[h]
+	n := sh.index[h].refs
 	sh.mu.RUnlock()
 	return n
 }
@@ -601,10 +563,7 @@ func (s *Store) Refcount(h Hash) int64 {
 // WriteStream stores an already-chunked stream, returning its recipe
 // and the number of duplicate chunks.
 func (s *Store) WriteStream(chunks [][]byte) (Recipe, int, error) {
-	hs := make([]Hash, len(chunks))
-	for i, c := range chunks {
-		hs[i] = dedup.Sum(c)
-	}
+	hs := sums(chunks)
 	_, dup, err := s.PutHashedBatch(hs, chunks)
 	if err != nil {
 		return nil, 0, err
@@ -746,7 +705,7 @@ func (s *Store) releaseRefs(r Recipe, sp *obs.Span) (DeleteStats, error) {
 		touched := false
 		for _, i := range idxs {
 			h := r[i]
-			ref, ok := sh.index[h]
+			e, ok := sh.index[h]
 			if !ok {
 				// A recipe entry with no live chunk: only possible after a
 				// torn-tail recovery already lost the insert. Nothing to
@@ -759,12 +718,12 @@ func (s *Store) releaseRefs(r Recipe, sp *obs.Span) (DeleteStats, error) {
 			touched = true
 			ds.ChunksReleased++
 			chunksN++
-			logical += ref.Length
-			if sh.release(h, ref) {
+			logical += e.ref.Length
+			if sh.release(h, e) {
 				ds.ChunksFreed++
-				ds.BytesFreed += ref.Length
+				ds.BytesFreed += e.ref.Length
 				uniques++
-				stored += ref.Length
+				stored += e.ref.Length
 			} else {
 				hitsN++
 			}
@@ -889,7 +848,8 @@ func (s *Store) compactShard(sh *shard, threshold float64, sp *obs.Span) (Compac
 	// open container, updating the index as we go. Relocate journals
 	// each move, so a crash before the checkpoint replays them (and a
 	// torn move is simply dropped — the old container still exists).
-	for h, ref := range sh.index {
+	for h, e := range sh.index {
+		ref := e.ref
 		if !victimSet[ref.Container] {
 			continue
 		}
@@ -901,17 +861,15 @@ func (s *Store) compactShard(sh *shard, threshold float64, sp *obs.Span) (Compac
 		if err != nil {
 			return cs, err
 		}
-		delete(sh.byLoc, loc{ref.Container, ref.Offset})
 		sh.live[ref.Container] -= ref.Length
 		newRef := Ref{Shard: sh.idx, Container: ci, Offset: off, Length: ref.Length}
-		sh.index[h] = newRef
-		sh.byLoc[loc{ci, off}] = h
+		sh.index[h] = entry{newRef, e.refs}
 		sh.live[ci] += ref.Length
 		cs.MovedBytes += ref.Length
 	}
 	live := make([]CheckpointEntry, 0, len(sh.index))
-	for h, ref := range sh.index {
-		live = append(live, CheckpointEntry{Hash: h, Ref: ref, Refcount: sh.refcount[h]})
+	for h, e := range sh.index {
+		live = append(live, CheckpointEntry{Hash: h, Ref: e.ref, Refcount: e.refs})
 	}
 	if err := sh.back.Checkpoint(live, victims); err != nil {
 		return cs, err
@@ -995,8 +953,7 @@ func (s *Store) ContainerUsage() (containers int, liveBytes, totalBytes int64) {
 	return containers, liveBytes, totalBytes
 }
 
-// indexEntries counts live index entries (== refcount map entries)
-// across all shards.
+// indexEntries counts live index entries across all shards.
 func (s *Store) indexEntries() int64 {
 	var n int64
 	for _, sh := range s.shards {
@@ -1041,7 +998,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		"Unique bytes the index references.",
 		func() float64 { return float64(s.stored.Load()) })
 	reg.GaugeFunc("shardstore_index_entries",
-		"Live fingerprint index entries (equals refcount-map entries) across all shards.",
+		"Live fingerprint index entries (one per stored chunk) across all shards.",
 		func() float64 { return float64(s.indexEntries()) })
 	reg.GaugeFunc("shardstore_recipes",
 		"Recorded stream recipes.",

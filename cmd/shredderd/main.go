@@ -38,9 +38,11 @@
 //
 // Hot-path tuning: -parallel-chunk N cuts server-side (raw-path)
 // streams on N cores with byte-identical boundaries (chunk.Parallel);
-// -commit-window D batches concurrent sessions' WAL fsyncs under
-// -fsync always into one group commit per window, every session still
-// acked only after the fsync covering its records really returned.
+// -commit-window D (any D > 0; the value is a switch, nothing sleeps it)
+// turns on group commit under -fsync always: concurrent sessions' fsyncs
+// share sync passes that start as soon as a commit is waiting, every
+// session still acked only after the pass covering its records really
+// returned.
 //
 //	shredderd [-addr :9323] [-admin :7071] [-shards N] [-batch N]
 //	          [-chunker rabin|fastcdc] [-avg KiB] [-minchunk KiB] [-maxchunk KiB]
@@ -86,7 +88,7 @@ func main() {
 	parallelChunk := flag.Int("parallel-chunk", 0, "chunk server-side streams on this many cores (byte-identical output; -1: all cores, 0/1: sequential)")
 	data := flag.String("data", "", "data directory for durable storage (empty: in-memory only)")
 	fsyncFlag := flag.String("fsync", "interval", "fsync policy with -data: always, never, interval[=D], or a duration")
-	commitWindow := flag.Duration("commit-window", 2*time.Millisecond, "group-commit window with -fsync always: batch concurrent sessions' WAL appends into one fsync per window (0: fsync per commit)")
+	commitWindow := flag.Duration("commit-window", 2*time.Millisecond, "group commit with -fsync always, as a switch: any positive value shares one fsync pass among the sessions committing while the previous pass runs (a lone commit pays one pass, nothing waits out the value); 0: inline fsync at every commit point")
 	scrub := flag.Bool("scrub", false, "verify every chunk's fingerprint during recovery (reads all containers)")
 	gcInterval := flag.Duration("gc-interval", 0, "background container-compaction period (0: GC disabled)")
 	gcThreshold := flag.Float64("gc-threshold", 0.5, "compact containers whose live fraction is below this (0: only fully-dead containers)")

@@ -14,7 +14,10 @@ const (
 	// FsyncAlways fsyncs the WAL (and any dirty container file) at
 	// every commit point: each put batch and each recipe commit is
 	// durable before the call returns. Crash loses nothing
-	// acknowledged, at the cost of one or two fsyncs per batch.
+	// acknowledged, at the cost of one or two fsyncs per batch. With
+	// Options.CommitWindow switched on the fsyncs move to shared sync
+	// rounds and a stream becomes durable — puts, pins and recipe
+	// together — at its recipe commit.
 	FsyncAlways FsyncMode = iota
 	// FsyncInterval fsyncs dirty files from a background goroutine
 	// every Interval. Crash loses at most the last window of

@@ -6,45 +6,46 @@ import (
 )
 
 // groupCommitter coalesces commit-point fsyncs from concurrent sessions
-// into one sync pass per commit window (group commit). With a
-// CommitWindow configured, commit points stage and flush their records
-// but skip the inline fsync; callers regain the durable-before-ack
-// guarantee through Backing.Barrier, which blocks until a syncer round
-// that started after the caller's appends has fsynced every shard and
-// the recipe journal — each waiter still learns the real outcome of the
-// fsync pass covering its records, but N sessions inside one window
-// share a single pass instead of paying N serialized fsyncs.
+// into shared sync passes (group commit). With Options.CommitWindow
+// switched on, commit points stage and flush their records but skip the
+// inline fsync; callers regain the durable-before-ack guarantee through
+// Backing.Barrier, which blocks until a syncer round covering the
+// caller's appends has fsynced every shard and the recipe journal.
+// The syncer is self-clocking: a round starts the moment a waiter is
+// pending and no round is in flight, and it takes with it every waiter
+// that has registered by the time the pass locks the recipe journal —
+// everything flushed or appended before that moment is covered by the
+// locked shard pass and the journal fsync that follow (Backing.sync).
+// Waiters arriving later form the next round: the disk's own latency does
+// the batching, no timer. A lone session pays exactly one pass, N
+// concurrent sessions share one, and each waiter still learns the real
+// outcome of the pass covering its records.
 type groupCommitter struct {
-	b      *Backing
-	window time.Duration
+	b *Backing
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	started int64 // sync rounds begun
-	done    int64 // sync rounds completed
-	pending bool  // waiters are queued for a round not yet started
-	// outcomes holds each in-flight round's result, refcounted by its
-	// waiters so the map stays bounded.
-	outcomes map[int64]*groupRound
+	mu   sync.Mutex
+	cond *sync.Cond
+	// joining is the round new waiters register with. The pass in flight
+	// takes it and installs a fresh one when it closes its membership.
+	joining  *groupRound
 	closed   bool
-	closedCh chan struct{} // closed by close(); interrupts the window sleep
 	loopDone chan struct{}
 
 	lastBytes int64 // flushedBytes watermark at the previous round (run goroutine only)
 }
 
-// groupRound is one sync round's published result.
+// groupRound is one sync round: who waits for it and, once done, how the
+// pass covering them ended.
 type groupRound struct {
-	err     error
 	waiters int
+	done    bool
+	err     error
 }
 
-func newGroupCommitter(b *Backing, window time.Duration) *groupCommitter {
+func newGroupCommitter(b *Backing) *groupCommitter {
 	g := &groupCommitter{
 		b:        b,
-		window:   window,
-		outcomes: make(map[int64]*groupRound),
-		closedCh: make(chan struct{}),
+		joining:  &groupRound{},
 		loopDone: make(chan struct{}),
 	}
 	g.cond = sync.NewCond(&g.mu)
@@ -52,101 +53,76 @@ func newGroupCommitter(b *Backing, window time.Duration) *groupCommitter {
 	return g
 }
 
-// wait blocks until the first sync round that started after the call
-// has completed and returns that round's outcome. Records the caller
-// staged before calling wait are covered by that round: a round syncs
-// everything flushed before its pass begins.
+// wait blocks until the first sync round that closes its membership
+// after the call has completed and returns that round's outcome. Records
+// the caller staged before calling wait are covered by that round: past
+// the close it syncs every shard and then the journal.
 func (g *groupCommitter) wait() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
 		return errClosed
 	}
-	// A round already in flight may have raced past this caller's
-	// records; only the NEXT round to start is guaranteed to cover them.
-	target := g.started + 1
-	o := g.outcomes[target]
-	if o == nil {
-		o = &groupRound{}
-		g.outcomes[target] = o
-	}
-	o.waiters++
-	if !g.pending {
-		g.pending = true
+	r := g.joining
+	if r.waiters++; r.waiters == 1 {
 		g.cond.Broadcast()
 	}
-	// Once registered, the target round is guaranteed to run — the
-	// syncer drains pending rounds before exiting on close — so this
-	// wait always resolves to a real sync outcome.
-	for g.done < target {
+	// Once registered, the round is guaranteed to run — the syncer drains
+	// joined waiters before exiting on close — so this wait always
+	// resolves to a real sync outcome.
+	for !r.done {
 		g.cond.Wait()
 	}
-	err := o.err
-	if o.waiters--; o.waiters == 0 {
-		delete(g.outcomes, target)
-	}
-	return err
+	return r.err
 }
 
-// run is the syncer goroutine: wake on the first waiter, sleep the
-// window so concurrent commits pile onto the same round, then fsync
-// everything once and publish the outcome. On close it drains queued
-// waiters with one final (window-less) round per batch.
+// run is the syncer goroutine: sleep until a waiter has joined, fsync
+// everything once, publish the outcome to the round the pass took,
+// repeat. It is the only goroutine that starts passes, so at most one is
+// in flight. After close it keeps going until no waiter is queued.
 func (g *groupCommitter) run() {
 	defer close(g.loopDone)
 	for {
 		g.mu.Lock()
-		for !g.pending && !g.closed {
+		for g.joining.waiters == 0 && !g.closed {
 			g.cond.Wait()
 		}
-		if g.closed && !g.pending {
+		if g.joining.waiters == 0 {
 			g.mu.Unlock()
 			return
 		}
-		final := g.closed
 		g.mu.Unlock()
 
-		if g.window > 0 && !final {
-			// Interruptible window: a close during the sleep must not
-			// stall shutdown for the full window (operators may set
-			// windows far beyond the few-ms sweet spot).
-			t := time.NewTimer(g.window)
-			select {
-			case <-t.C:
-			case <-g.closedCh:
-				t.Stop()
-			}
-		}
+		var r *groupRound
+		t0 := time.Now()
+		err := g.b.sync(func() { r = g.cut() })
+		g.observeRound(r.waiters, t0)
 
 		g.mu.Lock()
-		g.pending = false
-		g.started++
-		round := g.started
-		covered := 0
-		if o := g.outcomes[round]; o != nil {
-			covered = o.waiters
-		}
-		g.mu.Unlock()
-
-		err := g.b.Sync()
-		g.observeRound(covered)
-
-		g.mu.Lock()
-		g.done = round
-		if o := g.outcomes[round]; o != nil {
-			o.err = err
-			if o.waiters == 0 {
-				delete(g.outcomes, round)
-			}
-		}
+		r.err, r.done = err, true
 		g.cond.Broadcast()
 		g.mu.Unlock()
 	}
 }
 
-// observeRound records one round's window occupancy and batched bytes.
-func (g *groupCommitter) observeRound(waiters int) {
+// cut closes the joining round's membership and hands it to the pass in
+// flight. Backing.sync calls it holding b.rmu, before its locked shard
+// pass.
+func (g *groupCommitter) cut() *groupRound {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	r := g.joining
+	g.joining = &groupRound{}
+	return r
+}
+
+// observeRound records one round's duration, how many sessions shared
+// it, and the bytes it made durable.
+func (g *groupCommitter) observeRound(waiters int, t0 time.Time) {
 	g.b.met.groupRounds.Add(1)
+	if h := g.b.met.groupRoundSeconds.Load(); h != nil {
+		h.ObserveSince(t0)
+	}
 	if h := g.b.met.groupWaiters.Load(); h != nil {
 		h.Observe(float64(waiters))
 	}
@@ -162,10 +138,7 @@ func (g *groupCommitter) observeRound(waiters int) {
 // errClosed.
 func (g *groupCommitter) close() {
 	g.mu.Lock()
-	if !g.closed {
-		g.closed = true
-		close(g.closedCh)
-	}
+	g.closed = true
 	g.cond.Broadcast()
 	g.mu.Unlock()
 	<-g.loopDone

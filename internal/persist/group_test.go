@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,67 +14,138 @@ import (
 	"shredder/internal/shardstore"
 )
 
-// groupOpts is the group-commit configuration the tests run under: a
-// window short enough to keep the suite fast, long enough that
-// concurrent committers actually share rounds.
+// groupOpts is the group-commit configuration the tests run under.
 func groupOpts(shards int) Options {
-	return Options{Shards: shards, CommitWindow: 200 * time.Microsecond}
+	return Options{Shards: shards, CommitWindow: time.Millisecond}
 }
 
-// TestGroupCommitBatchesRounds drives concurrent commits through the
-// backing and checks the group machinery did its job: every barrier
-// reports success, and the number of fsync rounds is strictly smaller
-// than the number of commits (the whole point of the window).
+// holdFirstSync hooks the fsync seam so the first fsync of a file whose
+// path contains match blocks until release is called (entered is closed
+// when it gets there): a sync pass held open for as long as the test
+// needs a round in flight. Every fsync costs delay. Defer release after
+// the backing's Close, so a test that fails with the pass still held lets
+// it go before Close joins the syncer.
+func holdFirstSync(t *testing.T, match string, delay time.Duration) (entered chan struct{}, release func()) {
+	entered = make(chan struct{})
+	held := make(chan struct{})
+	var first, once sync.Once
+	hookFsync(t, func(f *os.File) error {
+		if strings.Contains(f.Name(), match) {
+			first.Do(func() {
+				close(entered)
+				<-held
+			})
+		}
+		time.Sleep(delay)
+		return f.Sync()
+	})
+	return entered, func() { once.Do(func() { close(held) }) }
+}
+
+// waitFor polls cond, failing the test if it does not come true.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// queued reports how many waiters have joined the round no pass has
+// taken yet.
+func (g *groupCommitter) queued() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.joining.waiters
+}
+
+// appendCommit stages and flushes one fresh chunk on a shard.
+func appendCommit(sh shardstore.ShardBacking, tag string) error {
+	body := []byte(tag)
+	if _, _, err := sh.Append(dedup.Sum(body), body); err != nil {
+		return err
+	}
+	return sh.Commit()
+}
+
+// TestGroupCommitBatchesRounds checks that committers share rounds. First
+// by construction: round 1 is held open inside its first fsync — the
+// unlocked shard pass, before the round closes its membership — until
+// seven more committers have registered, so all eight ride that one
+// round. Then free-running on a disk where every fsync costs 2 ms: a pass
+// outlasts the time a committer needs to come back, so rounds stay below
+// commits.
 func TestGroupCommitBatchesRounds(t *testing.T) {
-	b, err := Open(t.TempDir(), groupOpts(1))
+	entered, release := holdFirstSync(t, "shard-0000", 2*time.Millisecond)
+	b, err := Open(t.TempDir(), groupOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
+	defer release()
 	if b.group == nil {
 		t.Fatal("CommitWindow under FsyncAlways did not enable group commit")
 	}
-	if err := b.Shard(0).Recover(func(shardstore.Hash, shardstore.Ref, int64) error { return nil }); err != nil {
-		t.Fatal(err)
+	for i := 0; i < b.NumShards(); i++ {
+		if err := b.Shard(i).Recover(func(shardstore.Hash, shardstore.Ref, int64) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const committers, commits = 8, 5
 	var wg sync.WaitGroup
 	errs := make([]error, committers)
-	for g := 0; g < committers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			sh := b.Shard(0)
-			for i := 0; i < commits; i++ {
-				body := []byte(fmt.Sprintf("chunk-%d-%d", g, i))
-				h := dedup.Sum(body)
-				if _, _, err := sh.Append(h, body); err != nil {
-					errs[g] = err
-					return
+	// run has every committer do n commits, the first on shard 0 and the
+	// rest on shard 1 (the held pass keeps shard 0's lock, and only shard
+	// 0's fsync is held).
+	run := func(from, to, n int, tag string) {
+		for g := from; g < to; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < n && errs[g] == nil; i++ {
+					if errs[g] = appendCommit(b.Shard(min(g, 1)), fmt.Sprintf("%s-%d-%d", tag, g, i)); errs[g] == nil {
+						errs[g] = b.Barrier()
+					}
 				}
-				if err := sh.Commit(); err != nil {
-					errs[g] = err
-					return
-				}
-				if err := b.Barrier(); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("committer %d: %v", g, err)
+			}(g)
 		}
 	}
-	rounds := b.met.groupRounds.Load()
-	if rounds == 0 {
-		t.Fatal("no group rounds recorded")
+	check := func() {
+		t.Helper()
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("committer %d: %v", g, err)
+			}
+		}
 	}
-	if rounds >= committers*commits {
-		t.Fatalf("%d rounds for %d commits: group commit never batched", rounds, committers*commits)
+
+	run(0, 1, 1, "held")
+	<-entered
+	run(1, committers, 1, "held")
+	waitFor(t, "all eight committers joined to round 1", func() bool { return b.group.queued() == committers })
+	release()
+	check()
+	if rounds := b.met.groupRounds.Load(); rounds != 1 {
+		t.Fatalf("%d rounds for %d commits with round 1 held open before its membership closed, want 1", rounds, committers)
+	}
+	// Riding along must not mean riding unsynced: the seven flushed shard 1
+	// after the held pass had started.
+	for i := 0; i < b.NumShards(); i++ {
+		sh := b.shards[i]
+		sh.mu.Lock()
+		dirty := sh.walDirty || len(sh.walBuf) > 0
+		sh.mu.Unlock()
+		if dirty {
+			t.Fatalf("shard %d still has unsynced records after its committers were released", i)
+		}
+	}
+
+	run(0, committers, commits, "free")
+	check()
+	if rounds := b.met.groupRounds.Load() - 1; rounds >= committers*commits {
+		t.Fatalf("%d rounds for %d commits at 2 ms per fsync: group commit never batched", rounds, committers*commits)
 	}
 	if got := b.met.syncErrors.Load(); got != 0 {
 		t.Fatalf("sync errors counted on a healthy disk: %d", got)
@@ -140,35 +212,63 @@ func TestGroupCommitStoreDurability(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCloseDrains proves waiters registered before Close
-// still get the real outcome of a final round instead of hanging or a
-// spurious error.
+// TestGroupCommitCloseDrains proves waiters registered before Close get
+// the real outcome of a sync round instead of hanging or errClosed: one
+// waiter's round is held open inside its journal fsync — past the point
+// where it closed its membership — three more queue for the next round,
+// Close begins, and only then is the disk let go.
 func TestGroupCommitCloseDrains(t *testing.T) {
-	b, err := Open(t.TempDir(), Options{Shards: 1, CommitWindow: time.Hour})
+	entered, release := holdFirstSync(t, recipeLogName, 0)
+	b, err := Open(t.TempDir(), groupOpts(1))
 	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	defer release()
+	if err := b.Shard(0).Recover(func(shardstore.Hash, shardstore.Ref, int64) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendCommit(b.Shard(0), "something to sync"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.CommitRecipe("held", shardstore.Recipe{dedup.Sum([]byte("something to sync"))}); err != nil {
 		t.Fatal(err)
 	}
 	const waiters = 4
 	var wg sync.WaitGroup
 	errs := make([]error, waiters)
-	for i := 0; i < waiters; i++ {
+	wait := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			errs[i] = b.Barrier()
-		}(i)
+		}()
 	}
-	// Give the waiters time to register on the pending round the hour
-	// window would otherwise hold open until tomorrow.
-	time.Sleep(20 * time.Millisecond)
-	if err := b.Close(); err != nil {
+	wait(0)
+	<-entered
+	for i := 1; i < waiters; i++ {
+		wait(i)
+	}
+	waitFor(t, "three waiters queued for round 2", func() bool { return b.group.queued() == waiters-1 })
+	closeErr := make(chan error, 1)
+	go func() { closeErr <- b.Close() }()
+	waitFor(t, "Close to reach the syncer", func() bool {
+		b.group.mu.Lock()
+		defer b.group.mu.Unlock()
+		return b.group.closed
+	})
+	release()
+	wg.Wait()
+	if err := <-closeErr; err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
 	for i, err := range errs {
-		if err != nil && !errors.Is(err, errClosed) {
-			t.Fatalf("waiter %d: %v", i, err)
+		if err != nil {
+			t.Fatalf("waiter %d, registered before Close: %v", i, err)
 		}
+	}
+	if rounds := b.met.groupRounds.Load(); rounds != 2 {
+		t.Fatalf("%d rounds, want 2: the held one and the drain", rounds)
 	}
 	if err := b.Barrier(); !errors.Is(err, errClosed) {
 		t.Fatalf("Barrier after Close = %v, want errClosed", err)

@@ -27,6 +27,11 @@ type pmetrics struct {
 	fsyncSeconds  atomic.Pointer[obs.Histogram]
 	groupWaiters  atomic.Pointer[obs.Histogram]
 	groupBytes    atomic.Pointer[obs.Histogram]
+	// groupRoundSeconds is what one sync pass took and barrierSeconds what
+	// one Barrier caller blocked; a wait well above a pass is time spent
+	// queued behind a round that had already closed its membership.
+	groupRoundSeconds atomic.Pointer[obs.Histogram]
+	barrierSeconds    atomic.Pointer[obs.Histogram]
 	// fault latches the first sync failure forever: a disk that failed
 	// an fsync holds writes in an unknowable state, so every later
 	// commit fails loudly with the original error instead of quietly
@@ -70,10 +75,16 @@ func (m *pmetrics) timedSync(f *os.File, sp *obs.Span) error {
 	return err
 }
 
+// fsyncFile is the one call every fsync of a WAL, container or recipe-
+// journal file goes through — policy-driven or a journal rewrite's temp
+// file. Production never reassigns it; tests wrap it to model a slow disk
+// and to record what a crash would have kept.
+var fsyncFile = (*os.File).Sync
+
 // checkedSync issues the fsync and, on failure, counts it and latches
 // the backing into fail-stop.
 func (m *pmetrics) checkedSync(f *os.File) error {
-	err := f.Sync()
+	err := fsyncFile(f)
 	if err != nil {
 		m.syncErrors.Add(1)
 		m.latchFault(err)
@@ -132,9 +143,15 @@ func (b *Backing) Instrument(reg *obs.Registry) {
 	b.met.fsyncSeconds.Store(reg.Histogram("persist_fsync_seconds",
 		"fsync syscall latency.", obs.LatencyBuckets, "policy", policy))
 	b.met.groupWaiters.Store(reg.Histogram("persist_group_commit_waiters",
-		"Sessions sharing one group-commit sync round (window occupancy).",
+		"Barrier callers covered by one group-commit sync round (those that arrived before its pass locked the recipe journal).",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128}))
 	b.met.groupBytes.Store(reg.Histogram("persist_group_commit_bytes",
 		"WAL and recipe-journal bytes made durable per group-commit round.",
 		[]float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}))
+	b.met.groupRoundSeconds.Store(reg.Histogram("persist_group_round_seconds",
+		"Duration of one group-commit sync pass (every dirty shard file, again with the recipe journal locked, then the journal).",
+		obs.LatencyBuckets))
+	b.met.barrierSeconds.Store(reg.Histogram("persist_barrier_wait_seconds",
+		"Time one Barrier caller blocked until the sync round covering its records completed.",
+		obs.LatencyBuckets))
 }

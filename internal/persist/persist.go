@@ -58,15 +58,20 @@ type Options struct {
 	// after power loss under relaxed fsync), at the cost of reading and
 	// hashing every stored byte at open.
 	VerifyOnRecover bool
-	// CommitWindow, when positive and Fsync is FsyncAlways, switches
-	// the backing to group commit: commit points stage and flush their
-	// records but leave the fsync to a shared syncer goroutine that
-	// syncs at most once per window. Callers regain the durable-before-
-	// ack guarantee through Barrier, which blocks until the sync round
-	// covering their records has completed and returns its real outcome
-	// (shardstore calls it before every ack). Concurrent sessions inside
-	// one window then share a single fsync pass instead of paying one
-	// each. Ignored under FsyncInterval and FsyncNever.
+	// CommitWindow is a switch, not a duration to wait: any positive value
+	// under FsyncAlways turns on group commit, 0 fsyncs inline at every
+	// commit point. Nothing sleeps the value; the name and Duration type
+	// stay for the callers that pass it (shredderd's -commit-window). With
+	// group commit, commit points stage and flush their records but leave the
+	// fsync to a shared syncer goroutine, which starts a pass the moment a
+	// Barrier caller is waiting and none is in flight; callers arriving
+	// before the pass locks the recipe journal ride it, later ones share
+	// the next. Callers regain the durable-before-ack guarantee through
+	// Barrier, which blocks until the sync round covering their records has
+	// completed and returns its real outcome — shardstore calls it once per
+	// recipe commit, delete and reference release, so a stream's puts and
+	// pins become durable at its commit, not batch by batch. Ignored under
+	// FsyncInterval and FsyncNever.
 	CommitWindow time.Duration
 	// Logger receives persistence warnings (today: a failing background
 	// fsync under FsyncInterval). Nil means slog.Default().
@@ -88,7 +93,7 @@ type Backing struct {
 	shards []*diskShard
 	met    pmetrics
 	logger *slog.Logger
-	// group is the group-commit syncer (FsyncAlways + CommitWindow);
+	// group is the group-commit syncer (FsyncAlways + CommitWindow > 0);
 	// nil means every commit point fsyncs inline and Barrier is a no-op.
 	group *groupCommitter
 
@@ -155,7 +160,7 @@ func Open(dir string, opts Options) (*Backing, error) {
 		return nil, err
 	}
 	if grouped {
-		b.group = newGroupCommitter(b, opts.CommitWindow)
+		b.group = newGroupCommitter(b)
 	}
 	if opts.Fsync.Mode == FsyncInterval {
 		iv := opts.Fsync.Interval
@@ -390,10 +395,17 @@ func (b *Backing) appendRecipeRecordLocked(body []byte) error {
 // it is dead bytes (replaced commits and tombstones): the live set is
 // written to a temp file, fsynced, and atomically renamed over the
 // journal, so retention churn cannot grow the log without bound. The
-// caller holds b.rmu.
+// rewrite makes every live recipe durable — the one just appended and any
+// still waiting for their sync round included — so it keeps Sync's
+// invariant the way Sync does: a shard pass first, under the b.rmu the
+// caller already holds, and no recipe is more durable than the inserts
+// and +1 refdeltas it references.
 func (b *Backing) maybeCompactRecipeLogLocked() error {
 	if b.recipeSize <= recipeLogSlack || b.recipeSize <= 2*b.rlive {
 		return nil
+	}
+	if err := b.syncShards(); err != nil {
+		return err
 	}
 	var buf []byte
 	sizes := make(map[string]int64, len(b.recipes))
@@ -441,36 +453,68 @@ func (b *Backing) Recipes() (map[string]shardstore.Recipe, error) {
 	return out, nil
 }
 
-// Sync flushes and fsyncs every shard and the recipe journal. Shards
-// sync concurrently — their files are independent and the filesystem
-// merges overlapping journal flushes, which is what makes a group-
-// commit round cheap — but always before the recipe journal, so a
-// recipe is never more durable than the inserts it references.
-func (b *Backing) Sync() error {
-	errs := make([]error, len(b.shards))
-	var wg sync.WaitGroup
-	for i, sh := range b.shards {
+// Sync flushes and fsyncs every shard and the recipe journal, shards
+// first. The invariant: every recipe record Sync makes durable was
+// appended before a shard pass that this same call completed — so a
+// recipe is never more durable than the inserts and +1 refdeltas it
+// references, even though commit points no longer sync (or, under group
+// commit, wait for) their puts and pins one batch at a time. A stream's
+// shard records are always flushed before its recipe is appended, so it
+// is enough that no recipe slips in between the last shard pass and the
+// journal fsync: the first pass runs unlocked (it is where the time
+// goes, and recipe appends must not queue behind it), then under b.rmu —
+// which stops appends — the shards dirtied meanwhile are synced again,
+// then the journal. The other path that makes recipes durable, the
+// journal rewrite in maybeCompactRecipeLogLocked, keeps the same
+// invariant the same way.
+func (b *Backing) Sync() error { return b.sync(nil) }
+
+// sync is Sync with a hook: locked, when non-nil, runs once b.rmu is
+// held. Whatever was flushed to a shard or appended to the journal before
+// that moment is durable when sync returns nil, which is what lets the
+// group committer close a round's membership there instead of at the
+// start of the pass.
+func (b *Backing) sync(locked func()) error {
+	first := b.syncShards()
+	b.rmu.Lock()
+	defer b.rmu.Unlock()
+	if locked != nil {
+		locked()
+	}
+	if err := b.syncShards(); err != nil && first == nil {
+		first = err
+	}
+	// Past a shard failure the journal stays unsynced: its records may
+	// reference exactly what was lost, and the backing is fail-stop now.
+	if first == nil && b.recipeLog != nil {
+		first = b.syncRecipesLocked()
+	}
+	return first
+}
+
+// syncShards flushes and fsyncs every shard. Shards sync concurrently —
+// their files are independent and the filesystem merges overlapping
+// journal flushes, which is what makes a group-commit round cheap.
+func (b *Backing) syncShards() error {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	for _, sh := range b.shards {
 		wg.Add(1)
-		go func(i int, sh *diskShard) {
+		go func(sh *diskShard) {
 			defer wg.Done()
-			errs[i] = sh.sync()
-		}(i, sh)
+			if err := sh.sync(); err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+			}
+		}(sh)
 	}
 	wg.Wait()
-	var first error
-	for _, err := range errs {
-		if err != nil {
-			first = err
-			break
-		}
-	}
-	b.rmu.Lock()
-	if b.recipeLog != nil {
-		if err := b.syncRecipesLocked(); err != nil && first == nil {
-			first = err
-		}
-	}
-	b.rmu.Unlock()
 	return first
 }
 
@@ -482,6 +526,9 @@ func (b *Backing) Sync() error {
 func (b *Backing) Barrier() error {
 	if b.group == nil {
 		return nil
+	}
+	if h := b.met.barrierSeconds.Load(); h != nil {
+		defer h.ObserveSince(time.Now())
 	}
 	return b.group.wait()
 }

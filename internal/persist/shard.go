@@ -29,7 +29,8 @@ type diskShard struct {
 	containerSize int64
 	always        bool // FsyncAlways: fsync at every Commit
 	// grouped defers Commit's fsync to the backing's group-commit
-	// syncer; the store waits on Backing.Barrier before acking instead.
+	// syncer; the store waits on Backing.Barrier before acking a stream's
+	// recipe commit instead.
 	// Directory syncs (container rolls) still happen inline — the group
 	// round only syncs file contents.
 	grouped bool
@@ -373,7 +374,8 @@ func (s *diskShard) LogRefDelta(h shardstore.Hash, delta int64) error {
 // FsyncAlways, fsyncs the dirty container files and the WAL (data
 // before journal, so a synced record always has its bytes). Under group
 // commit the fsync is deferred to the backing's shared syncer round,
-// which the store waits for (Backing.Barrier) before acking.
+// which the store waits for (Backing.Barrier) at the stream's recipe
+// commit, before the ack.
 func (s *diskShard) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -131,7 +131,7 @@ func swapJournal(dir, path string, old *os.File, buf []byte) (f *os.File, failSt
 		_ = tmp.Close()
 		return nil, false, err
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := fsyncFile(tmp); err != nil {
 		_ = tmp.Close()
 		return nil, false, err
 	}

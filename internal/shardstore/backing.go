@@ -44,12 +44,13 @@ type Backing interface {
 
 // BarrierBacking is an optional Backing capability for group commit: a
 // backing whose commit points stage and flush but defer their fsync to
-// a shared syncer round (persist with a CommitWindow) exposes Barrier,
-// and the Store calls it once per API call — after releasing the
-// stripe locks and the recipe mutex, so concurrent sessions pile onto
-// the same round instead of serializing a window each. Barrier blocks
-// until every record staged before the call is durable and returns the
-// real outcome of the sync pass that covered it.
+// a shared syncer round (persist with CommitWindow switched on) exposes
+// Barrier, and the Store calls it once per recipe commit, recipe delete
+// and reference release — not per put or pin batch — after releasing
+// the stripe locks and the recipe mutex, so concurrent sessions pile
+// onto the same round instead of serializing a sync pass each. Barrier
+// blocks until every record staged before the call is durable and
+// returns the real outcome of the sync pass that covered it.
 type BarrierBacking interface {
 	Barrier() error
 }

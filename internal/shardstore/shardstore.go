@@ -148,7 +148,7 @@ type Store struct {
 
 	// barrier is the backing's group-commit wait (nil when the backing
 	// fsyncs inline). It is always called OUTSIDE the stripe locks and
-	// the recipe mutex: waiting a commit window under a lock would
+	// the recipe mutex: waiting out a sync pass under a lock would
 	// serialize the very sessions group commit exists to batch.
 	barrier func() error
 }
@@ -222,8 +222,12 @@ func Open(b Backing) (*Store, error) {
 }
 
 // commitBarrier waits out the backing's group-commit round, if it has
-// one, so an ack never outruns durability. Call sites sit after every
-// lock release on each commit path.
+// one, so an ack never outruns durability. It has exactly three callers,
+// each after its locks are released: CommitRecipeTraced (the one barrier
+// a stream pays — it covers the recipe and every put and pin the stream
+// staged before it), DeleteRecipeTraced (tombstone durable before any
+// reference is released) and releaseRefs. Puts and pins do not call it:
+// nothing is promised about them until their stream commits.
 func (s *Store) commitBarrier() error {
 	if s.barrier == nil {
 		return nil
@@ -335,6 +339,9 @@ func (s *Store) Missing(hs []Hash) []int {
 // accounted exactly like a duplicate Put; absent ones come back as
 // ascending indices in missing with a zero Ref. On a backing error the
 // batch stops early: pins already applied stay applied (and accounted).
+// Under group commit the pins' journal records are written through but
+// not yet awaited: they become durable with the stream's CommitRecipe
+// (or with the Release that gives them back).
 func (s *Store) PinBatch(hs []Hash) (refs []Ref, missing []int, err error) {
 	return s.PinBatchTraced(hs, nil)
 }
@@ -378,9 +385,6 @@ func (s *Store) PinBatchTraced(hs []Hash, sp *obs.Span) (refs []Ref, missing []i
 		}
 		return nil
 	})
-	if err == nil {
-		err = s.commitBarrier()
-	}
 	s.chunks.Add(chunksN)
 	s.logical.Add(logical)
 	s.hits.Add(dups)
@@ -419,6 +423,13 @@ func sums(chunks [][]byte) []Hash {
 // Each hs[i] MUST be dedup.Sum(chunks[i]); storing under any other
 // address would corrupt every stream that later dedups against it, so
 // callers ingesting untrusted bytes verify first.
+//
+// Durability: a backing that fsyncs inline makes the batch durable
+// before this returns. Under group commit the batch is written through
+// to the backing's files but no sync round is awaited — the chunks and
+// references become durable at the CommitRecipe of the stream they
+// belong to, which is the first point anything is acknowledged; a caller
+// that needs them durable without a recipe calls Sync.
 func (s *Store) PutHashedBatch(hs []Hash, chunks [][]byte) ([]Ref, []bool, error) {
 	return s.PutHashedBatchTraced(hs, chunks, nil)
 }
@@ -462,9 +473,6 @@ func (s *Store) PutHashedBatchTraced(hs []Hash, chunks [][]byte, sp *obs.Span) (
 		}
 		return sh.back.Commit()
 	})
-	if err == nil {
-		err = s.commitBarrier()
-	}
 	s.chunks.Add(chunksN)
 	s.logical.Add(logical)
 	s.hits.Add(dups)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDurability(t *testing.T) {
-	analysistest.Run(t, "testdata", Durability, "durability", "durability_clean")
+	analysistest.Run(t, "testdata", Durability, "durability", "durability_clean", "durability_barrier", "durability_barrier_clean")
 }
 
 func TestStripeLock(t *testing.T) {

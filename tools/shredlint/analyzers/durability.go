@@ -18,7 +18,15 @@ import (
 //     (type FsyncMode), every exported Commit / CommitRecipe /
 //     DeleteRecipe / Checkpoint must reach a (*os.File).Sync call
 //     through the package's own call graph, so the policy can make the
-//     record durable before the caller is acked.
+//     record durable before the caller is acked. A call through a
+//     package variable initialised to a .Sync method expression (the
+//     test seam, `var fsyncFile = (*os.File).Sync`) counts as the Sync.
+//  3. Barrier before ack. In a package that declares commitBarrier (the
+//     store in front of a group-commit backing), a function that calls
+//     CommitRecipe or DeleteRecipe must call commitBarrier afterwards:
+//     puts and pins no longer wait for a sync round, so the recipe
+//     commit and the tombstone are where the whole durable-before-ack
+//     promise is paid.
 var Durability = &analysis.Analyzer{
 	Name: "durability",
 	Doc:  "WAL journal entries must be written (and commit points synced) before their effects apply",
@@ -43,10 +51,14 @@ var commitPoints = map[string]bool{
 }
 
 func runDurability(pass *analysis.Pass) error {
+	barriered := pass.Pkg != nil && declaresFunc(pass, "commitBarrier")
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				checkJournalOrder(pass, fd)
+				if barriered {
+					checkBarrierAfterJournal(pass, fd)
+				}
 			}
 		}
 	}
@@ -79,12 +91,73 @@ func checkJournalOrder(pass *analysis.Pass, fd *ast.FuncDecl) {
 	}
 }
 
+// declaresFunc reports whether the package declares a function or method
+// with the given name.
+func declaresFunc(pass *analysis.Pass, name string) bool {
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkBarrierAfterJournal flags fd when it journals a recipe record
+// (CommitRecipe, DeleteRecipe) and no commitBarrier call follows the
+// last such call.
+func checkBarrierAfterJournal(pass *analysis.Pass, fd *ast.FuncDecl) {
+	var journal *ast.CallExpr
+	var barrier token.Pos
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			switch calleeName(call) {
+			case "commitBarrier":
+				barrier = max(barrier, call.Pos())
+			case "CommitRecipe", "DeleteRecipe":
+				if journal == nil || call.Pos() > journal.Pos() {
+					journal = call
+				}
+			}
+		}
+		return true
+	})
+	if journal != nil && barrier < journal.Pos() {
+		pass.Reportf(journal.Pos(), "%s journals a record but no commitBarrier follows it in %s; under group commit the ack would outrun the fsync", calleeName(journal), fd.Name.Name)
+	}
+}
+
+// syncAliases collects package-level variables initialised to a .Sync
+// method expression or value — seams a test can wrap around the fsync.
+func syncAliases(pass *analysis.Pass) map[string]bool {
+	aliases := map[string]bool{}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, v := range vs.Values {
+					if sel, ok := v.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sync" && i < len(vs.Names) {
+						aliases[vs.Names[i].Name] = true
+					}
+				}
+			}
+		}
+	}
+	return aliases
+}
+
 // checkCommitPointsSync verifies every exported commit point reaches a
 // .Sync() call through the in-package call graph.
 func checkCommitPointsSync(pass *analysis.Pass) {
 	calls := map[string][]string{} // decl name -> callee names
 	syncs := map[string]bool{}     // decl name -> contains a direct .Sync() call
 	decls := map[string][]*ast.FuncDecl{}
+	aliases := syncAliases(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -99,7 +172,7 @@ func checkCommitPointsSync(pass *analysis.Pass) {
 					return true
 				}
 				cn := calleeName(call)
-				if cn == "Sync" {
+				if cn == "Sync" || aliases[cn] {
 					syncs[name] = true
 				}
 				if cn != "" {

@@ -79,7 +79,7 @@ func main() {
 	addr := flag.String("addr", ":9323", "TCP listen address")
 	admin := flag.String("admin", ":7071", "admin HTTP address for /metrics, /healthz, /readyz, /statusz and pprof (empty: disabled)")
 	shards := flag.Int("shards", 16, "store shard count (power of two)")
-	batch := flag.Int("batch", 64, "chunks per has/put batch")
+	batch := flag.Int("batch", 64, "uploaded chunk bodies per store put on the dedup wire (raw streams put the chunking pipeline's batches and do not read it)")
 	chunkerName := flag.String("chunker", "rabin", "default chunking engine for sessions that skip negotiation: rabin or fastcdc")
 	avgKiB := flag.Int("avg", 4, "target average chunk size in KiB (power of two)")
 	minKiB := flag.Int("minchunk", 0, "minimum chunk size in KiB (0: engine default)")

@@ -380,7 +380,7 @@ func TestClusterOverwriteCleansStaleSubStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Add(h, body); err != nil {
+		if err := st.Add([]dedup.Hash{h}, [][]byte{body}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := st.Commit(); err != nil {

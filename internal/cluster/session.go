@@ -7,7 +7,6 @@ import (
 	"io"
 	"sync"
 
-	"shredder/internal/chunk"
 	"shredder/internal/dedup"
 	"shredder/internal/ingest"
 	"shredder/internal/obs"
@@ -19,7 +18,8 @@ import (
 // Like its single-node counterpart it runs one operation at a time;
 // open several for parallel streams (they share the cluster's pools).
 type RoutedSession struct {
-	c *Cluster
+	c    *Cluster
+	feed ingest.Feeder // cuts Backup's streams, as a router session's does
 }
 
 // NewSession returns a session facade over the cluster.
@@ -33,7 +33,7 @@ func (rs *RoutedSession) Backup(name string, r io.Reader) (*ingest.StreamStats, 
 	if err != nil {
 		return nil, err
 	}
-	if err := feedStream(st, rs.c.eng, r); err != nil {
+	if _, err := rs.feed.Feed(st, rs.c.eng, r); err != nil {
 		st.Abort()
 		return nil, err
 	}
@@ -88,18 +88,6 @@ func (rs *RoutedSession) Delete(name string) (*shardstore.DeleteStats, error) {
 		return nil, err
 	}
 	return &ds, nil
-}
-
-// feedStream chunks r and feeds the stream, copying each chunk out of
-// the engine's reused buffer.
-func feedStream(st *Stream, eng chunk.Engine, r io.Reader) error {
-	sink := eng.Stream(func(c chunk.Chunk, data []byte) error {
-		return st.Add(dedup.Sum(data), append([]byte(nil), data...))
-	})
-	if _, err := io.Copy(sink, r); err != nil {
-		return err
-	}
-	return sink.Close()
 }
 
 // restore re-interleaves the per-node sub-streams in manifest order,

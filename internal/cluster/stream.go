@@ -176,18 +176,31 @@ func (st *Stream) worker(n *streamNode) {
 	}
 }
 
-// Add routes one chunk: body must be owned by the stream (not aliased
-// to a reused buffer) and hash to h. A non-nil error means some node
-// already failed — the caller should stop feeding and Abort (Commit
-// would surface the same error).
-func (st *Stream) Add(h dedup.Hash, body []byte) error {
-	st.hashes = append(st.hashes, h)
-	n := st.nodes[st.c.ring.Owner(h)]
-	n.hs = append(n.hs, h)
-	n.bodies = append(n.bodies, body)
-	n.held += int64(len(body))
-	if len(n.hs) >= routeBatchChunks || n.held >= routeBatchBytes {
-		return st.flushNode(n)
+// Add routes the next chunks of the stream, bodies[i] hashing to hs[i].
+// The bodies are only valid for the call and the per-node workers ship
+// them after it, so the batch is copied — once, into one allocation the
+// nodes' rounds share. A non-nil error means some node already failed —
+// the caller should stop feeding and Abort (Commit would surface the
+// same error).
+func (st *Stream) Add(hs []dedup.Hash, bodies [][]byte) error {
+	var size int
+	for _, body := range bodies {
+		size += len(body)
+	}
+	kept := make([]byte, 0, size)
+	st.hashes = append(st.hashes, hs...)
+	for i, h := range hs {
+		at := len(kept)
+		kept = append(kept, bodies[i]...)
+		n := st.nodes[st.c.ring.Owner(h)]
+		n.hs = append(n.hs, h)
+		n.bodies = append(n.bodies, kept[at:len(kept):len(kept)])
+		n.held += int64(len(bodies[i]))
+		if len(n.hs) >= routeBatchChunks || n.held >= routeBatchBytes {
+			if err := st.flushNode(n); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

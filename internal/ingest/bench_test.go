@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -104,6 +105,73 @@ func BenchmarkIngestChunkers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBackupSmall and BenchmarkBackupDedupSmall are what a stream
+// too small to overlap anything costs on each wire: one session sending
+// fresh 64 KiB streams (FastCDC, every 512-byte block stamped with a
+// counter) over net.Pipe to an in-process server on a memory store, at
+// GOMAXPROCS 2 — where a hand-off between goroutines wakes the second P.
+// The chunking pipeline runs on the server for Backup and on the client
+// for BackupDedup; in neither does a stream this size start a goroutine.
+func BenchmarkBackupSmall(b *testing.B)      { benchSmallStream(b, false) }
+func BenchmarkBackupDedupSmall(b *testing.B) { benchSmallStream(b, true) }
+
+func benchSmallStream(b *testing.B, dedupWire bool) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const size = 64 << 10
+	img := workload.Random(55, size)
+	var c *Session
+	// connect starts over on an empty store: a memory store only grows.
+	connect := func() {
+		if c != nil {
+			_ = c.Close()
+		}
+		srv, err := NewServer(testConfig(16))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c = startSession(b, srv)
+		if dedupWire {
+			_, err = c.NegotiateDedup(chunk.FastCDCSpec(4 << 10))
+		} else {
+			_, err = c.Negotiate(chunk.FastCDCSpec(4 << 10))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	connect()
+	var stamp uint64
+	rd := bytes.NewReader(nil)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if n%4096 == 4095 {
+			b.StopTimer()
+			connect()
+			b.StartTimer()
+		}
+		for off := 0; off < size; off += 512 {
+			stamp++
+			binary.LittleEndian.PutUint64(img[off:], stamp)
+		}
+		rd.Reset(img)
+		var st *StreamStats
+		var err error
+		if dedupWire {
+			st, err = c.BackupDedup(fmt.Sprintf("i%d", n), rd)
+		} else {
+			st, err = c.Backup(fmt.Sprintf("i%d", n), rd)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Bytes != size {
+			b.Fatalf("server acked %d of %d bytes", st.Bytes, size)
+		}
 	}
 }
 

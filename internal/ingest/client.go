@@ -335,14 +335,6 @@ func (s *Session) Backup(name string, r io.Reader) (*StreamStats, error) {
 	return st, nil
 }
 
-// Dedup-path batching: one HasBatch round covers up to dedupBatchChunks
-// fingerprints, and the bodies held for a round (pending the server's
-// missing-set answer) are capped at dedupBatchBytes.
-const (
-	dedupBatchChunks = 256
-	dedupBatchBytes  = 4 << 20
-)
-
 // BeginDedup opens a two-phase dedup stream under name on a version
 // ≥ 3 session, without chunking anything locally: the caller drives
 // the rounds itself with HasBatch/SendBodies (or DedupRound) and ends
@@ -460,8 +452,10 @@ func (s *Session) CommitDedup() (*StreamStats, error) {
 // The work is pipelined (see chunkPipeline): while this goroutine runs
 // round N on the wire, round N+1 is being cut and fingerprinted from
 // pooled segment buffers, and bodies are sent straight out of those
-// buffers. One round is on the wire at a time, so the frames are the
-// ones a sequential client would send. The session keeps at most
+// buffers. A stream that ends inside its first segment has nothing to
+// overlap and is cut and fingerprinted on this goroutine: no goroutine
+// is started for it. One round is on the wire at a time, so the frames
+// are the ones a sequential client would send. The session keeps at most
 // pipelineDepth+2 segment buffers for its streams: 24 MiB, unless the
 // engine holds back more than half a segment (2 MiB) between writes —
 // chunk.Parallel over many workers, a spec with multi-megabyte chunks —
@@ -492,7 +486,7 @@ func (s *Session) BackupDedup(name string, r io.Reader) (*StreamStats, error) {
 	if s.segs == nil {
 		s.segs = newSegmentPool(pipelineDepth + 2)
 	}
-	p := startChunkPipeline(r, s.eng, s.segs, dedupBatchChunks, dedupBatchBytes)
+	p := startChunkPipeline(r, s.eng, s.segs)
 	defer p.stop()
 	// This goroutine's time is either spent on the wire or idle, waiting
 	// for the pipeline to have a round ready.

@@ -45,9 +45,11 @@ type Backend interface {
 // two-phase dedup streams — and ends it with a successful Commit or
 // exactly one Abort.
 type Stream interface {
-	// Add stores the next chunk of a raw stream. body hashes to h and is
-	// the stream's to keep.
-	Add(h dedup.Hash, body []byte) error
+	// Add stores the next chunks of a raw stream, in stream order:
+	// bodies[i] hashes to hs[i]. Both slices and every body are only
+	// valid for the call — the bodies are views into buffers the caller
+	// reuses — so a back end that keeps one past the call copies it.
+	Add(hs []dedup.Hash, bodies [][]byte) error
 	// RoundHas opens a dedup round over hs (the stream's to keep), the
 	// next fingerprints in stream order: it takes a reference on every
 	// chunk the back end already holds — inside the answer, so a chunk
@@ -220,6 +222,9 @@ type session struct {
 	sl  *slog.Logger // nil ok
 	eng chunk.Engine // cuts this session's raw streams
 	ver byte         // negotiated protocol version; 0 = legacy raw session
+	// feed runs the session's raw streams, keeping their segment buffers
+	// from one stream to the next.
+	feed Feeder
 }
 
 // send writes one frame and flushes it.
@@ -356,12 +361,14 @@ func (f *Frontend) negotiate(payload []byte) (chunk.Engine, chunk.Spec, byte, ob
 	return eng, spec, version, ctx, err
 }
 
-// rawStream reads one raw backup stream off the session: Data frames
-// up to the End frame.
+// rawStream is one raw backup stream as an io.Reader: the payloads of
+// the session's Data frames up to the End frame, read from the
+// connection's buffer straight into the caller's — no frame is staged.
 type rawStream struct {
 	r    *bufio.Reader
 	met  *serverMetrics // nil ok
-	buf  []byte         // frame buffer, reused across frames
+	left int            // payload bytes of the open Data frame not yet read
+	size int            // that frame's whole payload, for the truncation error
 	done bool           // the End frame has been read
 	// broken is set when the stream itself violated the protocol
 	// (truncation, bad frame): the connection is desynchronized and
@@ -369,47 +376,66 @@ type rawStream struct {
 	broken bool
 }
 
-// next returns the next Data payload — a view into the frame buffer,
-// valid until the following call — or io.EOF once the End frame has
-// been read.
-func (rs *rawStream) next() ([]byte, error) {
-	if rs.done {
-		return nil, io.EOF
-	}
-	typ, payload, err := readFrame(rs.r, rs.buf)
-	if err != nil {
-		if err == io.EOF {
-			// The peer closed on a frame boundary but never sent End:
-			// the stream is truncated, not complete. A bare io.EOF here
-			// would pass the partial stream off as a successful backup.
-			err = &TruncatedError{Context: "backup stream before End frame", Cause: io.ErrUnexpectedEOF}
+// Read fills p from the stream's Data payloads and returns io.EOF once
+// the End frame has been read. Every other error is typed and final.
+func (rs *rawStream) Read(p []byte) (int, error) {
+	for rs.left == 0 {
+		if rs.done {
+			return 0, io.EOF
 		}
+		if err := rs.nextFrame(); err != nil {
+			rs.broken = true
+			return 0, err
+		}
+	}
+	if len(p) > rs.left {
+		p = p[:rs.left]
+	}
+	n, err := rs.r.Read(p)
+	rs.left -= n
+	if err != nil {
 		rs.broken = true
-		return nil, err
+		return n, cutPayload(MsgData, rs.size, err)
+	}
+	return n, nil
+}
+
+// nextFrame reads the stream's next frame header: a Data frame opens its
+// payload for Read, the End frame ends the stream.
+func (rs *rawStream) nextFrame() error {
+	typ, n, err := readHeader(rs.r)
+	if err == io.EOF {
+		// The peer closed on a frame boundary but never sent End: the
+		// stream is truncated, not complete. A bare io.EOF here would
+		// pass the partial stream off as a successful backup.
+		return &TruncatedError{Context: "backup stream before End frame", Cause: io.ErrUnexpectedEOF}
+	}
+	if err != nil {
+		return err
+	}
+	if typ == MsgData {
+		rs.met.frame(typ)
+		rs.left, rs.size = n, n
+		return nil
+	}
+	// Any other frame is read whole before it is judged, so a cut-off
+	// one is reported as that.
+	if _, err := rs.r.Discard(n); err != nil {
+		return cutPayload(typ, n, err)
 	}
 	rs.met.frame(typ)
-	rs.buf = payload[:cap(payload)]
-	switch typ {
-	case MsgData:
-		return payload, nil
-	case MsgEnd:
-		rs.done = true
-		return nil, io.EOF
-	default:
-		rs.broken = true
-		return nil, &UnexpectedFrameError{Type: typ, Context: "backup stream"}
+	if typ != MsgEnd {
+		return &UnexpectedFrameError{Type: typ, Context: "backup stream"}
 	}
+	rs.done = true
+	return nil
 }
 
 // drain consumes the remainder of a stream after a server-side error so
 // the client can finish writing and read our Error frame (required for
 // unbuffered transports like net.Pipe).
 func (rs *rawStream) drain() {
-	for {
-		if _, err := rs.next(); err != nil {
-			return
-		}
-	}
+	_, _ = io.Copy(io.Discard, rs)
 }
 
 // backup runs one raw stream: the session's engine cuts it, every chunk
@@ -420,7 +446,20 @@ func (s *session) backup(name string, sp *obs.Span) error {
 	st, err := s.f.be.NewStream(name, sp)
 	var stats *StreamStats
 	if err == nil {
-		if stats, err = feedRaw(st, s.eng, rs); err != nil {
+		var ft FeedTimes
+		ft, err = s.feed.Feed(st, s.eng, rs)
+		s.f.met.stages(ft)
+		if sp != nil {
+			sp.Set(obs.Float("scan_s", ft.Scan.Seconds()),
+				obs.Float("hash_s", ft.Hash.Seconds()),
+				obs.Float("producer_stall_s", ft.Stall.Seconds()),
+				obs.Float("store_s", ft.Store.Seconds()),
+				obs.Float("store_idle_s", ft.Idle.Seconds()))
+		}
+		if err == nil {
+			stats, err = st.Commit()
+		}
+		if err != nil {
 			st.Abort()
 		}
 	}
@@ -438,30 +477,64 @@ func (s *session) backup(name string, sp *obs.Span) error {
 	return s.ack(name, stats, sp)
 }
 
-// feedRaw cuts the stream's Data payloads into chunks — each payload
-// written straight into the engine's stream — hands every chunk to st,
-// and commits.
-func feedRaw(st Stream, eng chunk.Engine, rs *rawStream) (*StreamStats, error) {
-	stm := eng.Stream(func(c chunk.Chunk, data []byte) error {
-		// data is only valid for the call: the stream gets a copy.
-		return st.Add(dedup.Sum(data), append([]byte(nil), data...))
-	})
+// Feeder runs raw streams into a back end: one stream at a time through
+// the chunking pipeline (see chunkPipeline), every batch handed to the
+// stream's Add with its bodies as views into the pipeline's pooled
+// segments. It is the one place serving code cuts a stream — the wire
+// front end feeds its sessions' raw backups through it and the cluster
+// its locally chunked ones. The zero value is ready to use. A Feeder
+// keeps at most pipelineDepth+2 segment buffers, allocated as streams
+// come to need them: one, for streams that each fit a segment.
+type Feeder struct {
+	segs *segmentPool
+}
+
+// FeedTimes is where one Feed's time went: the pipeline's stages, and
+// the feeding goroutine's own split between the back end and waiting
+// for the pipeline.
+type FeedTimes struct {
+	Scan  time.Duration // reading r and cutting it
+	Hash  time.Duration // fingerprinting, summed over the workers
+	Stall time.Duration // the scanning goroutine waiting for a free segment or queue slot
+	Store time.Duration // inside st.Add
+	Idle  time.Duration // waiting for the next batch
+}
+
+// Feed cuts r with eng and adds every chunk to st, in stream order. It
+// neither commits nor aborts st. An error of r's other than io.EOF, or
+// st's first, ends the feed and is returned as it is; Feed returns only
+// after its goroutines have exited, which includes waiting out a Read on
+// r that is in flight. A stream that ends inside its first segment
+// starts no goroutine at all.
+func (f *Feeder) Feed(st Stream, eng chunk.Engine, r io.Reader) (FeedTimes, error) {
+	if f.segs == nil {
+		f.segs = newSegmentPool(pipelineDepth + 2)
+	}
+	var ft FeedTimes
+	t0 := time.Now()
+	p := startChunkPipeline(r, eng, f.segs)
+	var err error
 	for {
-		payload, err := rs.next()
-		if err == io.EOF {
+		var b *chunkBatch
+		if b, err = p.next(); err != nil {
 			break
 		}
+		t1 := time.Now()
+		ft.Idle += t1.Sub(t0)
+		err = st.Add(b.hashes, b.bodies)
+		b.release()
+		t0 = time.Now()
+		ft.Store += t0.Sub(t1)
 		if err != nil {
-			return nil, err
-		}
-		if _, err := stm.Write(payload); err != nil {
-			return nil, err
+			break
 		}
 	}
-	if err := stm.Close(); err != nil {
-		return nil, err
+	pt := p.stop()
+	ft.Scan, ft.Hash, ft.Stall = pt.scan, pt.hash, pt.stall
+	if err == io.EOF {
+		err = nil
 	}
-	return st.Commit()
+	return ft, err
 }
 
 // backupDedup runs one two-phase content-addressed backup: the client

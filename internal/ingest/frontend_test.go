@@ -1,9 +1,11 @@
 package ingest
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +26,7 @@ type fakeBackend struct {
 	failCommit                 bool
 	needAll                    bool // RoundHas reports every fingerprint missing
 
-	adds, rounds, bodies, commits, aborts int
+	adds, added, rounds, bodies, commits, aborts int // added: chunks over all Add batches
 }
 
 func (b *fakeBackend) VetSpec(chunk.Spec) error { return nil }
@@ -39,10 +41,14 @@ func (b *fakeBackend) Delete(name string, _ *obs.Span) (shardstore.DeleteStats, 
 	return shardstore.DeleteStats{}, fmt.Errorf("fake: %w", shardstore.ErrUnknownRecipe)
 }
 
-func (b *fakeBackend) Add(dedup.Hash, []byte) error {
+func (b *fakeBackend) Add(hs []dedup.Hash, bodies [][]byte) error {
 	if b.adds++; b.adds == b.failAdd {
 		return errors.New("fake: add refused")
 	}
+	if len(hs) != len(bodies) || len(hs) == 0 {
+		return fmt.Errorf("fake: batch of %d fingerprints, %d bodies", len(hs), len(bodies))
+	}
+	b.added += len(hs)
 	return nil
 }
 
@@ -69,7 +75,7 @@ func (b *fakeBackend) Commit() (*StreamStats, error) {
 	if b.failCommit {
 		return nil, errors.New("fake: commit refused")
 	}
-	return &StreamStats{Chunks: int64(b.adds + b.bodies)}, nil
+	return &StreamStats{Chunks: int64(b.added + b.bodies)}, nil
 }
 
 func (b *fakeBackend) Abort() { b.aborts++ }
@@ -147,16 +153,45 @@ func TestFrontendAgainstFakeBackend(t *testing.T) {
 	})
 
 	t.Run("add fails mid-stream", func(t *testing.T) {
-		// 4 MiB is several frames past the failure: the client only gets
-		// to read the Error frame if the rest of its stream is drained.
-		be := &fakeBackend{failAdd: 3}
-		cend, wait := start(t, be)
-		_, err := NewSession(cend).BackupBytes("s", workload.Random(2, 4<<20))
+		// The second batch is refused with most of 12 MiB still to come
+		// and the pipeline's goroutines mid-stream: the client only gets
+		// to read the Error frame if they are stopped and the rest of its
+		// stream is drained. The session is assembled by hand so that what
+		// it leaves behind can be looked at.
+		be := &fakeBackend{failAdd: 2}
+		before := runtime.NumGoroutine()
+		cend, send := net.Pipe()
+		defer cend.Close()
+		s := &session{
+			f:   NewFrontend(Config{}, eng, be),
+			br:  bufio.NewReaderSize(send, 256<<10),
+			bw:  bufio.NewWriterSize(send, 256<<10),
+			eng: eng,
+		}
+		errc := make(chan error, 1)
+		go func() {
+			defer send.Close()
+			_, name, err := readFrame(s.br, nil)
+			if err == nil {
+				err = s.backup(string(name), nil)
+			}
+			errc <- err
+		}()
+		_, err := NewSession(cend).BackupBytes("s", workload.Random(2, 12<<20))
 		wantRemote(t, err, "add refused")
-		if err := wait(); err == nil {
-			t.Fatal("session survived a failed raw stream")
+		select {
+		case err := <-errc:
+			if err == nil || !strings.Contains(err.Error(), "add refused") {
+				t.Fatalf("session ended with %v, want the back end's refusal", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("session did not end")
+		}
+		if be.adds != 2 {
+			t.Fatalf("back end was handed %d batches, want none after the refused second", be.adds)
 		}
 		wantEnded(t, be, 0)
+		quiesced(t, before, s.feed.segs)
 	})
 
 	t.Run("round fails", func(t *testing.T) {

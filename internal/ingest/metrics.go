@@ -3,6 +3,8 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"shredder/internal/obs"
 )
@@ -65,7 +67,13 @@ type serverMetrics struct {
 	wireBytes      *obs.Counter
 	chunksSent     *obs.Counter
 	chunksSkipped  *obs.Counter
+	// stageNanos is where raw streams' time went, by FeedTimes field in
+	// stageNames order; exported in seconds at scrape time.
+	stageNanos [len(stageNames)]atomic.Int64
 }
+
+// stageNames label ingest_stage_seconds_total, in FeedTimes field order.
+var stageNames = [...]string{"scan", "hash", "producer_stall", "store", "store_idle"}
 
 // newServerMetrics registers the front end's metric families. Returns
 // nil when reg is nil — the uninstrumented server.
@@ -100,7 +108,23 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		m.protoErrors[kind] = reg.Counter("ingest_protocol_errors_total",
 			"Sessions that died with an error, by protocol-error kind.", "kind", kind)
 	}
+	for i, stage := range stageNames {
+		ns := &m.stageNanos[i]
+		reg.CounterFunc("ingest_stage_seconds_total",
+			"Time raw (server-chunked) streams spent per pipeline stage: scan, hash and producer_stall inside the chunking pipeline (hash summed over its workers), store and store_idle on the goroutine feeding the back end.",
+			func() float64 { return float64(ns.Load()) / 1e9 }, "stage", stage)
+	}
 	return m
+}
+
+// stages accounts one raw stream's stage times.
+func (m *serverMetrics) stages(ft FeedTimes) {
+	if m == nil {
+		return
+	}
+	for i, d := range [...]time.Duration{ft.Scan, ft.Hash, ft.Stall, ft.Store, ft.Idle} {
+		m.stageNanos[i].Add(int64(d))
+	}
 }
 
 // frame counts one received frame by type.

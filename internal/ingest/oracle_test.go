@@ -38,7 +38,7 @@ func (s *Session) backupDedupSequential(name string, r io.Reader) (*StreamStats,
 		hs = append(hs, dedup.Sum(data))
 		bodies = append(bodies, append([]byte(nil), data...))
 		held += int64(len(data))
-		if len(hs) >= dedupBatchChunks || held >= dedupBatchBytes {
+		if len(hs) >= batchChunks || held >= batchBytes {
 			return flush()
 		}
 		return nil

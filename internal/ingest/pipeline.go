@@ -22,10 +22,18 @@ import (
 // batch holding a view into it is released.
 //
 // Nothing here knows about sessions or frames: the consumer decides
-// what a batch is for (the dedup client turns one into a HasBatch
-// round), so a server-side ingest can run the same stages.
+// what a batch is for. The dedup client turns one into a HasBatch
+// round; the serving side (Feeder) turns one into a put.
 
 const (
+	// batchChunks and batchBytes close a batch: at this many chunks, or
+	// once it holds this many body bytes. A batch is one HasBatch round
+	// on the dedup client and one put on the server's raw path — large
+	// enough to amortize a round trip or a stripe lock, small enough that
+	// a stream of a few megabytes still moves through the stages in
+	// several steps.
+	batchChunks = 256
+	batchBytes  = 4 << 20
 	// segmentSize is how much of the stream one segment buffer holds.
 	// A segment also carries the previous segment's un-cut tail at its
 	// front, so every chunk lies inside one segment.
@@ -125,14 +133,14 @@ func (p *segmentPool) get(carry int, quit <-chan struct{}) *segment {
 }
 
 // chunkBatch is a run of consecutive chunks: their bodies as views into
-// the pipeline's segments and, once hashed is closed, their
-// fingerprints. The views stay valid until release.
+// the pipeline's segments and their fingerprints. The views stay valid
+// until release.
 type chunkBatch struct {
 	hashes []dedup.Hash
 	bodies [][]byte
 	bytes  int64
 	segs   []*segment
-	hashed chan struct{}
+	hashed chan struct{} // closed once hashes is filled; nil on an inline pipeline
 }
 
 // release drops the batch's hold on its segments; the bodies must not
@@ -144,9 +152,17 @@ func (b *chunkBatch) release() {
 	b.segs, b.bodies = nil, nil
 }
 
+// hash fingerprints the batch's chunks.
+func (b *chunkBatch) hash() {
+	b.hashes = make([]dedup.Hash, len(b.bodies))
+	for i, body := range b.bodies {
+		b.hashes[i] = dedup.Sum(body)
+	}
+}
+
 // pipelineTimes is where a pipeline's time went, summed per stage.
 type pipelineTimes struct {
-	scan  time.Duration // producer reading the source and cutting it
+	scan  time.Duration // reading the source and cutting it
 	hash  time.Duration // fingerprinting, summed over the workers
 	stall time.Duration // producer waiting for a free segment or queue slot
 }
@@ -155,12 +171,16 @@ type pipelineTimes struct {
 // next until it returns io.EOF (or the stream's error), releases each
 // batch when it is done with the bodies, and calls stop before it
 // returns.
+//
+// A stream that ends inside its first segment has nothing to overlap:
+// it is cut and fingerprinted on the caller's goroutine before start
+// returns and no goroutine is started (out is nil; next hands out
+// ready). Only a longer stream gets the producer and the hash workers,
+// which take over the segment start filled.
 type chunkPipeline struct {
-	src      io.Reader
-	eng      chunk.Engine
-	pool     *segmentPool
-	maxCount int   // a batch closes at this many chunks...
-	maxBytes int64 // ...or once it holds this many body bytes
+	src  io.Reader
+	sink io.WriteCloser // the engine's stream, emitting into emit
+	pool *segmentPool
 
 	out   chan *chunkBatch // batches in stream order, hashed or about to be
 	hashq chan *chunkBatch
@@ -168,12 +188,14 @@ type chunkPipeline struct {
 	once  sync.Once
 	wg    sync.WaitGroup
 
-	// Producer-goroutine state; stop reads times after the goroutines
-	// have exited, next reads err after out is closed.
+	// Scanning state, the producer goroutine's once there is one; stop
+	// reads times after the goroutines have exited, next reads err after
+	// out is closed.
 	cur   *segment
 	cut   int64 // stream offset up to which chunks have been emitted
 	off   int64 // stream offset of the next byte to read
 	batch *chunkBatch
+	ready []*chunkBatch // inline only: closed batches next has not handed out
 	times pipelineTimes
 	err   error
 
@@ -181,21 +203,36 @@ type chunkPipeline struct {
 }
 
 // startChunkPipeline starts cutting src with eng into batches of at
-// most maxCount chunks, a batch closing early once it holds maxBytes.
-func startChunkPipeline(src io.Reader, eng chunk.Engine, pool *segmentPool, maxCount int, maxBytes int64) *chunkPipeline {
-	p := &chunkPipeline{
-		src: src, eng: eng, pool: pool, maxCount: maxCount, maxBytes: maxBytes,
-		// out lets the consumer fall pipelineDepth batches behind; hashq
-		// is as deep so that a batch out never waits behind it for a
-		// worker that is merely busy.
-		out:   make(chan *chunkBatch, pipelineDepth),
-		hashq: make(chan *chunkBatch, pipelineDepth),
-		quit:  make(chan struct{}),
+// most batchChunks chunks, a batch closing early once it holds
+// batchBytes. It reads the stream's first segment before it returns.
+func startChunkPipeline(src io.Reader, eng chunk.Engine, pool *segmentPool) *chunkPipeline {
+	p := &chunkPipeline{src: src, pool: pool}
+	p.sink = eng.Stream(p.emit)
+	t0 := time.Now()
+	p.cur = pool.get(0, nil)
+	p.cur.base = 0
+	n, rerr := readFull(src, p.cur.buf)
+	p.off = int64(n)
+	p.times.scan = time.Since(t0)
+	if rerr != nil {
+		p.finish(p.run(p.cur.buf[:n], rerr))
+		t0 = time.Now()
+		for _, b := range p.ready {
+			b.hash()
+		}
+		p.times.hash = time.Since(t0)
+		return p
 	}
-	n := min(runtime.GOMAXPROCS(0), maxHashWorkers)
-	p.wg.Add(1 + n)
-	go p.produce()
-	for i := 0; i < n; i++ {
+	// out lets the consumer fall pipelineDepth batches behind; hashq is
+	// as deep so that a batch out never waits behind it for a worker that
+	// is merely busy.
+	p.out = make(chan *chunkBatch, pipelineDepth)
+	p.hashq = make(chan *chunkBatch, pipelineDepth)
+	p.quit = make(chan struct{})
+	workers := min(runtime.GOMAXPROCS(0), maxHashWorkers)
+	p.wg.Add(1 + workers)
+	go p.produce(p.cur.buf[:n])
+	for i := 0; i < workers; i++ {
 		go p.hashWorker()
 	}
 	return p
@@ -205,15 +242,21 @@ func startChunkPipeline(src io.Reader, eng chunk.Engine, pool *segmentPool, maxC
 // at the clean end of the stream, or the error that ended it. Batches
 // cut before a failure are delivered first.
 func (p *chunkPipeline) next() (*chunkBatch, error) {
-	b, ok := <-p.out
-	if !ok {
-		if p.err != nil {
-			return nil, p.err
+	var b *chunkBatch
+	if p.out != nil {
+		if b = <-p.out; b != nil {
+			<-b.hashed
 		}
-		return nil, io.EOF
+	} else if len(p.ready) > 0 {
+		b, p.ready = p.ready[0], p.ready[1:]
 	}
-	<-b.hashed
-	return b, nil
+	if b != nil {
+		return b, nil
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return nil, io.EOF
 }
 
 // stop ends the pipeline — early when the stream is not finished —
@@ -223,6 +266,13 @@ func (p *chunkPipeline) next() (*chunkBatch, error) {
 // idempotent.
 func (p *chunkPipeline) stop() pipelineTimes {
 	p.once.Do(func() {
+		if p.out == nil {
+			for _, b := range p.ready {
+				b.release()
+			}
+			p.ready = nil
+			return
+		}
 		close(p.quit)
 		p.wg.Wait()
 		for b := range p.out {
@@ -236,12 +286,19 @@ func (p *chunkPipeline) stop() pipelineTimes {
 // errStopped unwinds the producer out of the engine after stop.
 var errStopped = errors.New("ingest: chunk pipeline stopped")
 
-// produce is the read+scan stage's goroutine.
-func (p *chunkPipeline) produce() {
+// produce is the read+scan stage's goroutine; fresh is the first
+// segment's bytes, read by start and not yet cut.
+func (p *chunkPipeline) produce(fresh []byte) {
 	defer p.wg.Done()
 	defer close(p.out)
 	defer close(p.hashq)
-	if err := p.run(); !errors.Is(err, errStopped) {
+	p.finish(p.run(fresh, nil))
+}
+
+// finish records how run ended and gives back what it still held: the
+// current segment, and a batch left open by a failure.
+func (p *chunkPipeline) finish(err error) {
+	if !errors.Is(err, errStopped) {
 		p.err = err
 	}
 	if p.batch != nil {
@@ -252,43 +309,12 @@ func (p *chunkPipeline) produce() {
 	}
 }
 
-func (p *chunkPipeline) run() error {
-	sink := p.eng.Stream(p.emit)
+// run cuts the stream from the current segment on: fresh is the part of
+// it start's read delivered and rerr that read's error.
+func (p *chunkPipeline) run(fresh []byte, rerr error) error {
 	for {
-		// The un-cut tail moves to the front of a fresh segment, so the
-		// chunk it belongs to is contiguous there.
-		var tail []byte
-		if p.cur != nil {
-			tail = p.cur.buf[p.cut-p.cur.base : p.off-p.cur.base]
-		}
-		t0 := time.Now()
-		seg := p.pool.get(len(tail), p.quit)
-		p.times.stall += time.Since(t0)
-		if seg == nil {
-			return errStopped
-		}
-		seg.base = p.cut
-		copy(seg.buf, tail)
-		if p.cur != nil {
-			p.cur.release()
-		}
-		p.cur = seg
-
-		// What the source delivered is cut before its error is looked at:
-		// only io.EOF is the end of the stream, anything else fails it —
-		// after the batches its bytes completed.
 		t0, stalled := time.Now(), p.times.stall
-		n, rerr := readFull(p.src, seg.buf[len(tail):])
-		p.off += int64(n)
-		var err error
-		for fresh := seg.buf[len(tail) : len(tail)+n]; len(fresh) > 0 && err == nil; {
-			w := min(len(fresh), feedSize)
-			_, err = sink.Write(fresh[:w])
-			fresh = fresh[w:]
-		}
-		if err == nil && rerr == io.EOF {
-			err = sink.Close()
-		}
+		err := p.scan(fresh, rerr)
 		p.times.scan += time.Since(t0) - (p.times.stall - stalled)
 		if err != nil {
 			return err
@@ -296,14 +322,50 @@ func (p *chunkPipeline) run() error {
 		if rerr == io.EOF {
 			break
 		}
-		if rerr != nil {
-			return rerr
+		// The un-cut tail moves to the front of a fresh segment, so the
+		// chunk it belongs to is contiguous there.
+		tail := p.cur.buf[p.cut-p.cur.base : p.off-p.cur.base]
+		t0 = time.Now()
+		seg := p.pool.get(len(tail), p.quit)
+		p.times.stall += time.Since(t0)
+		if seg == nil {
+			return errStopped
 		}
+		seg.base = p.cut
+		copy(seg.buf, tail)
+		p.cur.release()
+		p.cur = seg
+
+		t0 = time.Now()
+		var n int
+		n, rerr = readFull(p.src, seg.buf[len(tail):])
+		p.off += int64(n)
+		fresh = seg.buf[len(tail) : len(tail)+n]
+		p.times.scan += time.Since(t0)
 	}
 	if p.batch == nil {
 		return nil
 	}
 	return p.closeBatch()
+}
+
+// scan cuts fresh, the bytes a read just added to the current segment,
+// and closes the engine's stream when rerr, the read's error, says they
+// were the last. What the source delivered is cut before its error is
+// looked at: only io.EOF is the end of the stream, anything else fails
+// it — after the batches its bytes completed.
+func (p *chunkPipeline) scan(fresh []byte, rerr error) error {
+	for len(fresh) > 0 {
+		w := min(len(fresh), feedSize)
+		if _, err := p.sink.Write(fresh[:w]); err != nil {
+			return err
+		}
+		fresh = fresh[w:]
+	}
+	if rerr == io.EOF {
+		return p.sink.Close()
+	}
+	return rerr
 }
 
 // readFull reads from r until buf is full or r returns an error, which
@@ -330,7 +392,7 @@ func (p *chunkPipeline) emit(c chunk.Chunk, _ []byte) error {
 	seg := p.cur
 	b := p.batch
 	if b == nil {
-		b = &chunkBatch{bodies: make([][]byte, 0, p.maxCount), hashed: make(chan struct{})}
+		b = &chunkBatch{bodies: make([][]byte, 0, batchChunks)}
 		p.batch = b
 	}
 	if n := len(b.segs); n == 0 || b.segs[n-1] != seg {
@@ -340,7 +402,7 @@ func (p *chunkPipeline) emit(c chunk.Chunk, _ []byte) error {
 	lo, hi := c.Offset-seg.base, c.End()-seg.base
 	b.bodies = append(b.bodies, seg.buf[lo:hi:hi])
 	b.bytes += c.Length
-	if len(b.bodies) < p.maxCount && b.bytes < p.maxBytes {
+	if len(b.bodies) < batchChunks && b.bytes < batchBytes {
 		return nil
 	}
 	return p.closeBatch()
@@ -353,6 +415,11 @@ func (p *chunkPipeline) emit(c chunk.Chunk, _ []byte) error {
 func (p *chunkPipeline) closeBatch() error {
 	b := p.batch
 	p.batch = nil
+	if p.out == nil {
+		p.ready = append(p.ready, b)
+		return nil
+	}
+	b.hashed = make(chan struct{})
 	if !p.send(p.out, b) {
 		b.release()
 		return errStopped
@@ -381,10 +448,7 @@ func (p *chunkPipeline) hashWorker() {
 	defer p.wg.Done()
 	for b := range p.hashq {
 		t0 := time.Now()
-		b.hashes = make([]dedup.Hash, len(b.bodies))
-		for i, body := range b.bodies {
-			b.hashes[i] = dedup.Sum(body)
-		}
+		b.hash()
 		p.hashNS.Add(int64(time.Since(t0)))
 		close(b.hashed)
 	}

@@ -58,7 +58,7 @@ func TestChunkPipelineMatchesSplit(t *testing.T) {
 			}
 			pool := newSegmentPool(pipelineDepth + 2)
 			before := runtime.NumGoroutine()
-			p := startChunkPipeline(bytes.NewReader(tc.data), eng, pool, dedupBatchChunks, dedupBatchBytes)
+			p := startChunkPipeline(bytes.NewReader(tc.data), eng, pool)
 			var off int64
 			i := 0
 			for {
@@ -69,7 +69,7 @@ func TestChunkPipelineMatchesSplit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(b.bodies) == 0 || len(b.bodies) > dedupBatchChunks || len(b.hashes) != len(b.bodies) {
+				if len(b.bodies) == 0 || len(b.bodies) > batchChunks || len(b.hashes) != len(b.bodies) {
 					t.Fatalf("batch of %d bodies, %d hashes", len(b.bodies), len(b.hashes))
 				}
 				for j, body := range b.bodies {
@@ -224,7 +224,7 @@ func TestDedupWireIdentity(t *testing.T) {
 			}
 			// Two full rounds and nothing after them: the stream ends on
 			// the boundary of its 512th chunk.
-			rounds := eng.Split(full)[2*dedupBatchChunks-1].End()
+			rounds := eng.Split(full)[2*batchChunks-1].End()
 			sizes := []struct {
 				name string
 				n    int
@@ -358,7 +358,7 @@ func TestBackupDedupFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failAt := int(eng.Split(data)[4*dedupBatchChunks-1].Offset) + eng.Spec().MaxSize
+	failAt := int(eng.Split(data)[4*batchChunks-1].Offset) + eng.Spec().MaxSize
 	sources := []struct {
 		name string
 		err  error

@@ -170,37 +170,51 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// readHeader reads one frame header: the frame's type and how many
+// payload bytes follow. A clean connection close on a frame boundary
+// returns bare io.EOF; a cut header or an oversized announcement comes
+// back typed.
+func readHeader(r io.Reader) (typ byte, n int, err error) {
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return 0, 0, io.EOF
+		}
+		return 0, 0, &TruncatedError{Context: "frame header", Cause: err}
+	}
+	size := binary.BigEndian.Uint32(hdr[1:])
+	if size > MaxFrame {
+		return 0, 0, &FrameSizeError{Type: hdr[0], Size: int64(size), Limit: MaxFrame}
+	}
+	return hdr[0], int(size), nil
+}
+
+// cutPayload is the error for a frame whose n-byte payload ended early.
+func cutPayload(typ byte, n int, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return &TruncatedError{Context: fmt.Sprintf("frame type %d payload (%d bytes)", typ, n), Cause: err}
+}
+
 // readFrame reads one frame, reusing buf for the payload when it is
 // large enough. The returned slice aliases buf (or a fresh allocation)
 // and is valid until the next call with the same buf. A clean
 // connection close on a frame boundary returns bare io.EOF; every
 // other failure comes back typed (FrameSizeError, TruncatedError).
 func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, &TruncatedError{Context: "frame header", Cause: err}
+	typ, n, err := readHeader(r)
+	if err != nil {
+		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > MaxFrame {
-		return 0, nil, &FrameSizeError{Type: hdr[0], Size: int64(n), Limit: MaxFrame}
-	}
-	if int(n) > cap(buf) {
+	if n > cap(buf) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, &TruncatedError{
-			Context: fmt.Sprintf("frame type %d payload (%d bytes)", hdr[0], n),
-			Cause:   err,
-		}
+		return 0, nil, cutPayload(typ, n, err)
 	}
-	return hdr[0], buf, nil
+	return typ, buf, nil
 }
 
 // specWireSize is the encoded size of a chunk.Spec, computed once so

@@ -29,9 +29,11 @@ type Config struct {
 	// core.Config describes is not on the serving path; the field keeps
 	// that type solely because the bench/ module reads it.
 	Shredder core.Config
-	// BatchSize is how many chunks the server accumulates before one
-	// batched has/put round against the store (0 means 64). Larger
-	// batches amortize stripe locking; smaller ones bound latency.
+	// BatchSize is how many of a dedup round's uploaded bodies the
+	// server accumulates before one batched put against the store (0
+	// means 64). It bounds the copies a round holds; raw streams do not
+	// read it — their put is the chunking pipeline's batch, bodies by
+	// reference.
 	BatchSize int
 	// MaxProtocol caps the protocol version the server will accept in
 	// a Hello (0 means ProtocolVersion). Setting 2 turns off two-phase
@@ -135,7 +137,8 @@ func (s *Server) Recipe(name string) (shardstore.Recipe, bool) {
 }
 
 // storeBackend is the Frontend's single-node back end: streams dedup
-// into one shardstore.Store in BatchSize batches.
+// into one shardstore.Store, a raw stream one pipeline batch per put and
+// a dedup round's uploaded bodies in BatchSize puts.
 type storeBackend struct {
 	cfg           Config
 	store         *shardstore.Store
@@ -190,11 +193,12 @@ type storeStream struct {
 	name string
 	sp   *obs.Span
 	st   StreamStats
-	// recipe is the stream so far, whole put batches (raw) or whole
+	// recipe is the stream so far, whole Add batches (raw) or whole
 	// rounds (dedup) at a time: every entry holds one reference.
 	recipe shardstore.Recipe
 
-	// The pending put batch: chunk bodies and their fingerprints.
+	// The open round's uploaded bodies (copies) not yet put, and their
+	// fingerprints.
 	batch   [][]byte
 	batchHs []dedup.Hash
 
@@ -210,26 +214,29 @@ type storeStream struct {
 	twoPhase bool // fed by RoundHas, not Add
 }
 
-// flush puts the pending batch and accounts it. Every body in it
-// crossed the wire, so a duplicate here is a chunk the wire could not
-// save: on the dedup path, another session stored it between our
-// answer and the upload.
-func (s *storeStream) flush() error {
-	if len(s.batch) == 0 {
+// Add puts one batch as it stands and accounts it: the store copies what
+// it keeps (PutHashedBatchTraced does not retain chunks), so the bodies
+// need not outlive the call. A raw stream's batch is the pipeline's; a
+// dedup round's uploaded bodies come through flush. Every body crossed
+// the wire, so a duplicate here is a chunk the wire could not save: on
+// the dedup path, another session stored it between our answer and the
+// upload.
+func (s *storeStream) Add(hs []dedup.Hash, bodies [][]byte) error {
+	if len(bodies) == 0 {
 		return nil
 	}
-	put := s.sp.Child("put_batch", obs.Int("chunks", int64(len(s.batch))))
-	_, dup, err := s.b.store.PutHashedBatchTraced(s.batchHs, s.batch, put)
+	put := s.sp.Child("put_batch", obs.Int("chunks", int64(len(bodies))))
+	_, dup, err := s.b.store.PutHashedBatchTraced(hs, bodies, put)
 	put.End()
 	if err != nil {
 		return err
 	}
 	if s.twoPhase {
-		s.applied = append(s.applied, s.batchHs...)
+		s.applied = append(s.applied, hs...)
 	} else {
-		s.recipe = append(s.recipe, s.batchHs...)
+		s.recipe = append(s.recipe, hs...)
 	}
-	for i, c := range s.batch {
+	for i, c := range bodies {
 		s.st.Chunks++
 		s.st.Bytes += int64(len(c))
 		if dup[i] {
@@ -238,12 +245,18 @@ func (s *storeStream) flush() error {
 			s.st.UniqueBytes += int64(len(c))
 		}
 	}
-	s.batch, s.batchHs = s.batch[:0], s.batchHs[:0]
 	return nil
 }
 
-// push queues one chunk for the next put, flushing at BatchSize so
-// memory stays bounded however large a stream or round is.
+// flush puts the uploaded bodies pending in the open round.
+func (s *storeStream) flush() error {
+	err := s.Add(s.batchHs, s.batch)
+	s.batch, s.batchHs = s.batch[:0], s.batchHs[:0]
+	return err
+}
+
+// push queues one uploaded body for the next put, flushing at BatchSize
+// so memory stays bounded however large a round is.
 func (s *storeStream) push(h dedup.Hash, body []byte) error {
 	if s.batch == nil {
 		s.batch = make([][]byte, 0, s.b.cfg.BatchSize)
@@ -255,10 +268,6 @@ func (s *storeStream) push(h dedup.Hash, body []byte) error {
 		return s.flush()
 	}
 	return nil
-}
-
-func (s *storeStream) Add(h dedup.Hash, body []byte) error {
-	return s.push(h, body)
 }
 
 func (s *storeStream) RoundHas(hs []dedup.Hash) ([]int, error) {
@@ -324,14 +333,12 @@ func (s *storeStream) RoundBody(body []byte) error {
 	return err
 }
 
-// Commit puts what is still pending and records the recipe — durably,
-// when the store's backing is.
+// Commit records the recipe — durably, when the store's backing is.
+// Nothing is pending: Add puts its batch before it returns and a
+// round's last body flushes the round.
 func (s *storeStream) Commit() (*StreamStats, error) {
 	if len(s.owed) != 0 {
 		return nil, fmt.Errorf("ingest: commit with %d bodies still owed", len(s.owed))
-	}
-	if err := s.flush(); err != nil {
-		return nil, err
 	}
 	c := s.sp.Child("commit", obs.Int("chunks", int64(len(s.recipe))))
 	t0 := time.Now()

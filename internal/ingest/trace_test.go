@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"bytes"
+	"math"
 	"net"
+	"strings"
 	"testing"
 
 	"shredder/internal/obs"
@@ -196,5 +198,80 @@ func TestUntracedSessionNoSpans(t *testing.T) {
 	var nilTracer *obs.Tracer
 	if got := nilTracer.Snapshot(); got != nil {
 		t.Fatalf("nil tracer snapshot = %v", got)
+	}
+}
+
+// TestRawBackupStageTimes: the server's backup root says where a raw
+// stream's time went — the pipeline's three stage sums and the session
+// goroutine's split between the store and waiting — and the same five
+// accumulate in ingest_stage_seconds_total. With neither a tracer nor a
+// registry the accounting costs the session nothing it can allocate.
+func TestRawBackupStageTimes(t *testing.T) {
+	tr := obs.NewTracer(obs.TracerConfig{})
+	reg := obs.NewRegistry()
+	cfg := testConfig(4)
+	cfg.Tracer, cfg.Obs = tr, reg
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cend, send := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer send.Close()
+		_ = srv.ServeConn(send)
+	}()
+	c := NewSession(cend)
+	// One stream the pipeline cuts inline and one it overlaps.
+	for name, size := range map[string]int{"small": 64 << 10, "long": segmentSize + 1<<20} {
+		if _, err := c.BackupBytes(name, workload.Random(int64(size), size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	<-done
+
+	sums := map[string]float64{}
+	roots := 0
+	for _, td := range tr.Snapshot() {
+		if td.Root != "backup" {
+			continue
+		}
+		roots++
+		for _, s := range td.Spans {
+			if s.Name != "backup" {
+				continue
+			}
+			for _, k := range []string{"scan_s", "hash_s", "producer_stall_s", "store_s", "store_idle_s"} {
+				v, ok := s.Attrs[k].(float64)
+				if !ok || v < 0 {
+					t.Errorf("backup root of %v: attribute %s = %v, want a duration in seconds", s.Attrs["recipe"], k, s.Attrs[k])
+				}
+				if (k == "scan_s" || k == "hash_s" || k == "store_s") && v == 0 {
+					t.Errorf("backup root of %v: attribute %s is zero", s.Attrs["recipe"], k)
+				}
+				sums[k] += v
+			}
+		}
+	}
+	if roots != 2 {
+		t.Fatalf("%d backup traces, want 2", roots)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range stageNames {
+		got := metricValue(t, sb.String(), `ingest_stage_seconds_total{stage="`+stage+`"}`)
+		if want := sums[stage+"_s"]; math.Abs(got-want) > 1e-6 {
+			t.Errorf("ingest_stage_seconds_total{stage=%q} = %v, the two backup roots sum to %v", stage, got, want)
+		}
+	}
+
+	var off *serverMetrics
+	ft := FeedTimes{Scan: 1, Hash: 2, Stall: 3, Store: 4, Idle: 5}
+	if n := testing.AllocsPerRun(100, func() { off.stages(ft) }); n != 0 {
+		t.Errorf("stage accounting without a registry allocates %v times per stream", n)
 	}
 }

@@ -396,11 +396,17 @@ func TestRegisterBuildInfo(t *testing.T) {
 // registry hands out.
 func TestDisabledTracingAllocatesNothing(t *testing.T) {
 	var tr *Tracer
+	n0 := time.Now().UnixNano() // not a constant, so the attributes are built at run time
 	if n := testing.AllocsPerRun(100, func() {
 		sp := tr.StartRoot("op")
 		c := sp.Child("stage", Int("i", 1))
 		c.Set(Int("n", 1))
 		c.End()
+		// A root's end-of-stream stage sums: five durations in seconds.
+		d := time.Duration(n0)
+		sp.Set(Float("scan_s", d.Seconds()), Float("hash_s", d.Seconds()),
+			Float("producer_stall_s", d.Seconds()), Float("store_s", d.Seconds()),
+			Float("store_idle_s", d.Seconds()))
 		sp.End()
 	}); n != 0 {
 		t.Errorf("nil-span child/set/end allocates %v times per run", n)

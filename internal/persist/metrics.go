@@ -16,17 +16,22 @@ import (
 // and lives behind an atomic pointer because the FsyncInterval loop may
 // already be syncing when Instrument installs it.
 type pmetrics struct {
-	walRecords    atomic.Int64 // insert/refdelta/relocate records staged
-	recipeRecords atomic.Int64 // recipe commits + tombstones journaled
-	checkpoints   atomic.Int64 // shard WAL checkpoints completed
-	recoverNanos  atomic.Int64 // cumulative Recover wall time, all shards
-	fsyncs        atomic.Int64 // fsync syscalls issued
-	syncErrors    atomic.Int64 // fsync syscalls that failed
-	flushedBytes  atomic.Int64 // WAL + recipe bytes written through (group batch sizing)
-	groupRounds   atomic.Int64 // group-commit sync rounds completed
-	fsyncSeconds  atomic.Pointer[obs.Histogram]
-	groupWaiters  atomic.Pointer[obs.Histogram]
-	groupBytes    atomic.Pointer[obs.Histogram]
+	walRecords atomic.Int64 // insert/refdelta/relocate records staged
+	// containerWrites counts write calls to container files and
+	// containerWriteBytes what they carried: one per shard per flush,
+	// however many chunks the flush's batch appended.
+	containerWrites     atomic.Int64
+	containerWriteBytes atomic.Int64
+	recipeRecords       atomic.Int64 // recipe commits + tombstones journaled
+	checkpoints         atomic.Int64 // shard WAL checkpoints completed
+	recoverNanos        atomic.Int64 // cumulative Recover wall time, all shards
+	fsyncs              atomic.Int64 // fsync syscalls issued
+	syncErrors          atomic.Int64 // fsync syscalls that failed
+	flushedBytes        atomic.Int64 // WAL + recipe bytes written through (group batch sizing)
+	groupRounds         atomic.Int64 // group-commit sync rounds completed
+	fsyncSeconds        atomic.Pointer[obs.Histogram]
+	groupWaiters        atomic.Pointer[obs.Histogram]
+	groupBytes          atomic.Pointer[obs.Histogram]
 	// groupRoundSeconds is what one sync pass took and barrierSeconds what
 	// one Barrier caller blocked; a wait well above a pass is time spent
 	// queued behind a round that had already closed its membership.
@@ -112,6 +117,12 @@ func (b *Backing) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("persist_wal_records_total",
 		"Index-mutation records (insert, refdelta, relocate) staged to shard WALs.",
 		func() float64 { return float64(b.met.walRecords.Load()) })
+	reg.CounterFunc("persist_container_writes_total",
+		"Write calls to shard container files (one per shard per flushed batch of appends).",
+		func() float64 { return float64(b.met.containerWrites.Load()) })
+	reg.CounterFunc("persist_container_write_bytes_total",
+		"Chunk bytes written to shard container files.",
+		func() float64 { return float64(b.met.containerWriteBytes.Load()) })
 	reg.CounterFunc("persist_recipe_records_total",
 		"Recipe commits and tombstones appended to the recipe journal.",
 		func() float64 { return float64(b.met.recipeRecords.Load()) })

@@ -15,8 +15,9 @@ import (
 
 // diskShard is one stripe of the durable backing: an append-only set
 // of container files plus a write-ahead log, both under
-// <data>/shard-NNNN/. Chunk bytes are written to the open container
-// first, then the index insert is journaled, so a WAL record never
+// <data>/shard-NNNN/. Appends stage chunk bytes in the run and their
+// insert records in walBuf; a flush writes the run to the open
+// container first, then the records to the WAL, so a WAL record never
 // survives a crash that lost its bytes without recovery noticing (the
 // record's range falls past the container's end and replay stops
 // there). Compaction drops whole container files: the slot stays (nil
@@ -44,7 +45,12 @@ type diskShard struct {
 	walBuf     []byte           // records staged since the last Commit
 	walDirty   bool             // WAL has writes not yet fsynced
 	containers []*containerFile // indexed by container number; nil = dropped
-	recovered  bool
+	// run is the open (last) container's staged tail: the chunk bytes
+	// packed since the last flush, which belong at that container's size
+	// onward. One flush writes it with one WriteAt, however many chunks a
+	// batch appended.
+	run       []byte
+	recovered bool
 	// failed is set when a checkpoint died between closing the old WAL
 	// and installing the new one: the shard fail-stops journal writes
 	// with the original fault instead of a nil-file error.
@@ -54,8 +60,8 @@ type diskShard struct {
 // containerFile is one append-only container on disk.
 type containerFile struct {
 	f     *os.File
-	size  int64
-	dirty bool // has writes not yet fsynced
+	size  int64 // bytes written to the file; the open container's run follows
+	dirty bool  // has writes not yet fsynced
 }
 
 const (
@@ -299,11 +305,16 @@ func (s *diskShard) openContainers() error {
 	return nil
 }
 
-// pack writes data into the open container (rolling when full) and
-// returns where it landed; the caller stages the matching WAL record.
+// pack stages data at the end of the open container (rolling when
+// full) and returns where it will land; the caller stages the matching
+// WAL record. A run never spans containers: a roll writes the old
+// container's run out first.
 func (s *diskShard) pack(data []byte) (int, int64, error) {
 	cur := len(s.containers) - 1
-	if cur < 0 || s.containers[cur].size+int64(len(data)) > s.containerSize {
+	if cur < 0 || s.containers[cur].size+int64(len(s.run)+len(data)) > s.containerSize {
+		if err := s.writeRunLocked(); err != nil {
+			return 0, 0, err
+		}
 		f, err := os.OpenFile(
 			filepath.Join(s.dir, fmt.Sprintf(containerFormat, len(s.containers))),
 			os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
@@ -319,21 +330,35 @@ func (s *diskShard) pack(data []byte) (int, int64, error) {
 		s.containers = append(s.containers, &containerFile{f: f})
 		cur = len(s.containers) - 1
 	}
-	cf := s.containers[cur]
-	if _, err := cf.f.WriteAt(data, cf.size); err != nil {
-		// cf.size is not advanced: the partial bytes sit past the
-		// watermark and are invisible to reads and recovery.
-		return 0, 0, err
-	}
-	off := cf.size
-	cf.size += int64(len(data))
-	cf.dirty = true
+	off := s.containers[cur].size + int64(len(s.run))
+	s.run = append(s.run, data...)
 	return cur, off, nil
 }
 
-// Append packs data into the open container (rolling when full) and
-// stages the insert record; both become durable at the next Commit
-// under the shard's fsync policy.
+// writeRunLocked writes the staged run to the open container with one
+// WriteAt.
+func (s *diskShard) writeRunLocked() error {
+	if len(s.run) == 0 {
+		return nil
+	}
+	cf := s.containers[len(s.containers)-1]
+	if _, err := cf.f.WriteAt(s.run, cf.size); err != nil {
+		// cf.size is not advanced and the run stays staged: the partial
+		// bytes sit past the watermark, invisible to recovery, and the
+		// next flush rewrites the region.
+		return err
+	}
+	cf.size += int64(len(s.run))
+	cf.dirty = true
+	s.met.containerWrites.Add(1)
+	s.met.containerWriteBytes.Add(int64(len(s.run)))
+	s.run = s.run[:0]
+	return nil
+}
+
+// Append stages data for the open container (rolling when full) and
+// its insert record; both are written at the next Commit — bytes, then
+// record — and become durable there under the shard's fsync policy.
 func (s *diskShard) Append(h shardstore.Hash, data []byte) (int, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -370,9 +395,10 @@ func (s *diskShard) LogRefDelta(h shardstore.Hash, delta int64) error {
 	return nil
 }
 
-// Commit writes the staged WAL records through to the kernel and, under
-// FsyncAlways, fsyncs the dirty container files and the WAL (data
-// before journal, so a synced record always has its bytes). Under group
+// Commit writes the staged run and then the staged WAL records through
+// to the kernel — one container write and one WAL write per batch — and,
+// under FsyncAlways, fsyncs the dirty container files and the WAL (data
+// before journal both times, so a record on disk always has its bytes). Under group
 // commit the fsync is deferred to the backing's shared syncer round,
 // which the store waits for (Backing.Barrier) at the stream's recipe
 // commit, before the ack.
@@ -388,9 +414,15 @@ func (s *diskShard) Commit() error {
 	return nil
 }
 
-// flushLocked writes staged records to the WAL file.
+// flushLocked writes the staged run to the open container, then the
+// staged records to the WAL file: the order is what keeps an insert
+// record from reaching the journal ahead of the bytes it names. A
+// failed container write leaves both staged, and the journal unwritten.
 func (s *diskShard) flushLocked() error {
 	if err := s.met.syncFailed(); err != nil {
+		return err
+	}
+	if err := s.writeRunLocked(); err != nil {
 		return err
 	}
 	if len(s.walBuf) == 0 {
@@ -499,7 +531,8 @@ func (s *diskShard) Checkpoint(live []shardstore.CheckpointEntry, drop []int) er
 	return syncDir(s.dir)
 }
 
-// Read returns the bytes at a stored location via positional read.
+// Read returns the bytes at a stored location: via positional read, or
+// out of the run when the location is staged and not yet written.
 func (s *diskShard) Read(container int, offset, length int64) ([]byte, error) {
 	s.mu.Lock()
 	if container < 0 || container >= len(s.containers) || s.containers[container] == nil {
@@ -507,9 +540,16 @@ func (s *diskShard) Read(container int, offset, length int64) ([]byte, error) {
 		return nil, fmt.Errorf("persist: shard %d container %d out of range", s.id, container)
 	}
 	cf := s.containers[container]
-	if offset < 0 || length < 0 || offset+length > cf.size {
+	if offset < 0 || length < 0 || offset+length > s.lenLocked(container) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("persist: shard %d range [%d, %d) outside container %d", s.id, offset, offset+length, container)
+	}
+	if offset >= cf.size && length > 0 {
+		// Chunks are staged and written whole, so one past the written
+		// size lies entirely in the run.
+		buf := append([]byte(nil), s.run[offset-cf.size:offset-cf.size+length]...)
+		s.mu.Unlock()
+		return buf, nil
 	}
 	s.mu.Unlock()
 	buf := make([]byte, length)
@@ -527,15 +567,25 @@ func (s *diskShard) Containers() int {
 	return len(s.containers)
 }
 
-// ContainerLen reports container i's on-disk byte count, -1 for a slot
-// compaction dropped.
+// ContainerLen reports how many bytes container i holds — written or,
+// for the open container, still staged — and -1 for a slot compaction
+// dropped.
 func (s *diskShard) ContainerLen(i int) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if i < 0 || i >= len(s.containers) || s.containers[i] == nil {
 		return -1
 	}
-	return s.containers[i].size
+	return s.lenLocked(i)
+}
+
+// lenLocked is container i's size counting the staged run.
+func (s *diskShard) lenLocked(i int) int64 {
+	n := s.containers[i].size
+	if i == len(s.containers)-1 {
+		n += int64(len(s.run))
+	}
+	return n
 }
 
 // close syncs and releases the shard's files.
@@ -551,7 +601,7 @@ func (s *diskShard) close() error {
 			err = cerr
 		}
 	}
-	s.containers = nil
+	s.containers, s.run = nil, nil
 	if s.wal != nil {
 		if cerr := s.wal.Close(); err == nil {
 			err = cerr

@@ -27,6 +27,13 @@ import (
 //     puts and pins no longer wait for a sync round, so the recipe
 //     commit and the tombstone are where the whole durable-before-ack
 //     promise is paid.
+//  4. Data before journal. In the package that declares FsyncMode, a
+//     function that writes the shard WAL buffer to its file (a WriteAt
+//     of a walBuf) must have flushed the staged container run
+//     (writeRunLocked) earlier in the same function. Appends stage chunk
+//     bytes and insert records side by side; only the order of those two
+//     statements keeps a record from reaching the journal ahead of the
+//     bytes it names, where recovery would trust it.
 var Durability = &analysis.Analyzer{
 	Name: "durability",
 	Doc:  "WAL journal entries must be written (and commit points synced) before their effects apply",
@@ -52,6 +59,9 @@ var commitPoints = map[string]bool{
 
 func runDurability(pass *analysis.Pass) error {
 	barriered := pass.Pkg != nil && declaresFunc(pass, "commitBarrier")
+	// Only the persistence layer (marked by declaring FsyncMode) owns
+	// commit points and the shard's staged run.
+	persistence := pass.Pkg != nil && pass.Pkg.Scope().Lookup("FsyncMode") != nil
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -59,16 +69,45 @@ func runDurability(pass *analysis.Pass) error {
 				if barriered {
 					checkBarrierAfterJournal(pass, fd)
 				}
+				if persistence {
+					checkDataBeforeJournal(pass, fd)
+				}
 			}
 		}
 	}
-	if pass.Pkg == nil || pass.Pkg.Scope().Lookup("FsyncMode") == nil {
-		// Only the persistence layer (marked by declaring FsyncMode)
-		// owns commit points.
-		return nil
+	if persistence {
+		checkCommitPointsSync(pass)
 	}
-	checkCommitPointsSync(pass)
 	return nil
+}
+
+// checkDataBeforeJournal flags a WriteAt of the shard's walBuf that no
+// writeRunLocked call precedes in fd.
+func checkDataBeforeJournal(pass *analysis.Pass, fd *ast.FuncDecl) {
+	var journal []*ast.CallExpr
+	runFlushed := token.Pos(-1)
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		switch calleeName(call) {
+		case "writeRunLocked":
+			if runFlushed < 0 || call.Pos() < runFlushed {
+				runFlushed = call.Pos()
+			}
+		case "WriteAt":
+			if len(call.Args) > 0 && exprName(call.Args[0]) == "walBuf" {
+				journal = append(journal, call)
+			}
+		}
+		return true
+	})
+	for _, call := range journal {
+		if runFlushed < 0 || runFlushed > call.Pos() {
+			pass.Reportf(call.Pos(), "%s writes the WAL buffer before the staged container run is flushed; call writeRunLocked first so no insert record is journaled ahead of its bytes", fd.Name.Name)
+		}
+	}
 }
 
 // checkJournalOrder flags apply-before-journal orderings within fd.

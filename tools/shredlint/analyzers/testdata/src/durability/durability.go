@@ -10,7 +10,10 @@ type FsyncMode int
 type ref struct{ h string }
 
 type store struct {
-	f *os.File
+	f      *os.File
+	wal    *os.File
+	walBuf []byte
+	run    []byte
 }
 
 // Commit flushes but never syncs: an acked commit can still be lost.
@@ -59,3 +62,24 @@ func (s *store) releaseRefs(refs []ref) {
 
 func (s *store) release(r ref)               {}
 func (s *store) LogRefDelta(h string, d int) {}
+
+// flushJournalFirst writes the insert records ahead of the chunk bytes
+// they name: a crash between the two leaves a journal recovery trusts
+// over a container that never got the data.
+func (s *store) flushJournalFirst() error {
+	if _, err := s.wal.WriteAt(s.walBuf, 0); err != nil { // want `flushJournalFirst writes the WAL buffer before the staged container run is flushed`
+		return err
+	}
+	return s.writeRunLocked()
+}
+
+// flushJournalOnly never writes the run at all.
+func (s *store) flushJournalOnly() error {
+	_, err := s.wal.WriteAt(s.walBuf, 0) // want `flushJournalOnly writes the WAL buffer before the staged container run is flushed`
+	return err
+}
+
+func (s *store) writeRunLocked() error {
+	_, err := s.f.WriteAt(s.run, 0)
+	return err
+}

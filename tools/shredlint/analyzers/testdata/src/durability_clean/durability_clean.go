@@ -10,6 +10,9 @@ type ref struct{ h string }
 
 type store struct {
 	f      *os.File
+	wal    *os.File
+	walBuf []byte
+	run    []byte
 	always bool
 }
 
@@ -24,7 +27,21 @@ func (s *store) Commit() error {
 	return nil
 }
 
-func (s *store) flush() error       { return nil }
+// flush writes the staged chunk bytes, then the records that name them.
+func (s *store) flush() error {
+	if err := s.writeRunLocked(); err != nil {
+		return err
+	}
+	_, err := s.wal.WriteAt(s.walBuf, 0)
+	return err
+}
+
+// writeRunLocked writes a buffer with WriteAt too, but not the journal's.
+func (s *store) writeRunLocked() error {
+	_, err := s.f.WriteAt(s.run, 0)
+	return err
+}
+
 func (s *store) fsyncLocked() error { return s.f.Sync() }
 
 func (s *store) Checkpoint() error { return s.fsyncLocked() }

@@ -35,12 +35,16 @@ func isErrorType(t types.Type) bool {
 
 // calleeName returns the bare name a call invokes: f(...) -> "f",
 // x.m(...) -> "m". Empty for indirect calls through expressions.
-func calleeName(call *ast.CallExpr) string {
-	switch fn := call.Fun.(type) {
+func calleeName(call *ast.CallExpr) string { return exprName(call.Fun) }
+
+// exprName is the identifier an expression names: x for x, f for s.f,
+// "" for anything else.
+func exprName(e ast.Expr) string {
+	switch e := e.(type) {
 	case *ast.Ident:
-		return fn.Name
+		return e.Name
 	case *ast.SelectorExpr:
-		return fn.Sel.Name
+		return e.Sel.Name
 	}
 	return ""
 }

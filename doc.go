@@ -8,11 +8,14 @@
 //   - internal/rabin, internal/chunker — Rabin fingerprinting and the
 //     sequential content-defined chunking reference
 //   - internal/chunk — the algorithm-agnostic chunking-engine API: a
-//     serializable, wire-encodable Spec (algorithm + parameters), an
-//     Engine interface with whole-buffer Split and an incremental
-//     streaming feed, a Rabin adapter over internal/chunker, and a
-//     FastCDC engine (gear hashing, normalized chunking); engines are
-//     differentially tested for Split/stream agreement
+//     serializable, wire-encodable Spec (algorithm + parameters) and an
+//     Engine interface whose one cutting primitive is the Scanner —
+//     per-stream state holding a cursor, never the bytes, that cuts a
+//     buffer the caller owns in place; whole-buffer Split and the
+//     incremental Stream feed are built on it. A Rabin engine (held
+//     byte-for-byte to internal/chunker by differential tests) and a
+//     FastCDC engine (gear hashing, normalized chunking); chunk
+//     boundaries are pinned by golden vectors
 //   - internal/gpu, internal/pcie, internal/hostmem, internal/host,
 //     internal/sim — the simulated device/host substrate (this machine
 //     has no GPU: boundaries and hashes are computed for real, only
@@ -46,9 +49,11 @@
 //     negotiation of protocol version and chunking engine
 //     (Hello/Accept frames carrying a chunk.Spec; non-negotiating
 //     legacy clients keep the Rabin defaults byte-for-byte), typed
-//     protocol errors, a server that writes raw client streams frame
-//     by frame into the session's chunk.Engine stream and dedups the
-//     chunks in batches against one shared shardstore, and the matching client Session. Protocol version 3
+//     protocol errors, a server that reads raw client streams into
+//     pooled segment buffers, has the session's chunk.Engine cut them
+//     where they lie and dedups the chunks in batches against one
+//     shared shardstore, and the matching client Session. Protocol
+//     version 3
 //     adds two-phase content-addressed ingest — the client chunks
 //     locally, ships HasBatch fingerprint frames, and uploads only
 //     the bodies the server's NeedBatch answer reports missing, the

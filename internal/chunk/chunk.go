@@ -8,12 +8,21 @@
 // engine (the core pipeline, the ingest service, the daemons) is typed
 // on Engine/Spec alone. Two engines are provided:
 //
-//   - AlgoRabin wraps the sequential Rabin-fingerprint reference in
-//     package chunker (the paper's algorithm, GPU-offloadable); and
+//   - AlgoRabin is Rabin-fingerprint CDC over a sliding window (the
+//     paper's algorithm, GPU-offloadable), with the parameters and the
+//     fingerprint table of the sequential reference in package chunker,
+//     which its tests hold it to; and
 //   - AlgoFastCDC implements FastCDC-style gear hashing with
 //     normalized chunking (small/large masks around the target size),
 //     which trades the sliding window's per-byte table lookups for a
 //     single gear addition and is the fast CPU-side choice.
+//
+// An engine cuts through one primitive, its Scanner: per-stream state
+// that holds a cursor and never the bytes, and cuts a buffer the caller
+// owns where it lies. Split is one Scan over the whole input, Stream is
+// a buffer in front of a Scanner for callers that have none of their
+// own, and Parallel is the same primitive with a fan-out over regions
+// in front.
 //
 // Spec has a fixed-size wire encoding so the ingest protocol can carry
 // it in a session-negotiation frame; see EncodeSpec/DecodeSpec.
@@ -183,10 +192,18 @@ func (c Chunk) End() int64 { return c.Offset + c.Length }
 // The data slice is only valid for the duration of the call.
 type EmitFunc func(c Chunk, data []byte) error
 
-// Stream is an engine's incremental feed: write stream bytes in any
-// split, Close flushes the final partial chunk. A Stream must produce
-// exactly the chunks Engine.Split produces over the concatenation of
-// all writes.
+// Stream is an engine's incremental feed for callers that hand bytes
+// over piecemeal: write stream bytes in any split, Close flushes the
+// final partial chunk. A Stream produces exactly the chunks
+// Engine.Split produces over the concatenation of all writes; it keeps
+// a copy of the bytes not yet cut, which a caller that holds the stream
+// in buffers of its own avoids by driving a Scanner directly.
+//
+// An error from the EmitFunc ends the stream: the Write that ran into
+// it returns the error with n counting only those bytes of p that lie
+// in chunks emit accepted — always fewer than len(p) — and every later
+// Write and Close returns the same error. A Write after Close fails;
+// Close is idempotent.
 type Stream interface {
 	io.WriteCloser
 	// Offset returns the absolute stream offset of the next byte to be
@@ -194,15 +211,44 @@ type Stream interface {
 	Offset() int64
 }
 
+// Scanner is an engine's cutting state for one stream: a cursor and,
+// for engines that cut from candidate boundaries, the candidates past
+// it — never the stream's bytes, which stay where the caller has them.
+// A Scanner is for one stream and one goroutine.
+type Scanner interface {
+	// Overlap is how many bytes before the first un-cut one (the end of
+	// the last chunk Scan emitted) the next view must still hold: the
+	// context the engine's rolling hash needs to pick up where it
+	// stopped.
+	Overlap() int
+	// Scan cuts view, which holds the stream's bytes from offset base
+	// on, and calls emit, in stream order, for every chunk that later
+	// bytes cannot change — for every chunk left when final says view
+	// ends the stream. Each call's view ends where the last one's did or
+	// later, and begins at the stream's start or no later than Overlap
+	// bytes before the first un-cut byte; what lies before that the
+	// caller may drop or overwrite between calls. No byte is scanned
+	// twice, however the stream is split over calls. An error from emit
+	// ends the scan and is returned as it is; the Scanner is of no use
+	// afterwards.
+	Scan(view []byte, base int64, final bool, emit func(Chunk) error) error
+
+	// quantum is how many new bytes make a scan worth starting: what a
+	// Stream lets accumulate between scans.
+	quantum() int
+}
+
 // Engine cuts byte streams into content-defined chunks. Engines are
 // stateless between calls and safe for concurrent use; per-stream
-// state lives in the Stream.
+// state lives in the Scanner or Stream.
 type Engine interface {
 	// Spec returns the configuration the engine was built from.
 	Spec() Spec
 	// Split cuts an in-memory buffer. The concatenation of the
 	// returned chunks always reproduces data exactly.
 	Split(data []byte) []Chunk
+	// Scanner returns the state to cut one stream in place.
+	Scanner() Scanner
 	// Stream returns an incremental feed delivering chunks to emit.
 	Stream(emit EmitFunc) Stream
 }

@@ -2,7 +2,11 @@ package chunk
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"testing"
+	"testing/iotest"
 
 	"shredder/internal/chunker"
 )
@@ -86,12 +90,29 @@ func TestSplitEqualsStreaming(t *testing.T) {
 	}
 }
 
-// TestRabinEngineMatchesReference: the adapter must cut exactly what
-// the sequential chunker package cuts — the byte-for-byte compatibility
-// the legacy ingest path depends on.
+// TestRabinEngineMatchesReference: the engine must cut exactly what the
+// sequential reference in package chunker cuts — the byte-for-byte
+// compatibility the legacy ingest path depends on. The engine runs its
+// own scan (scanRegion + resolve), so this is a differential between
+// two implementations, over Split and over the stream at write sizes
+// below, around and above a chunk: unbounded, with the service's
+// limits, and with a small window whose MinSize suppresses most
+// candidates and whose MaxSize forces cuts between them.
 func TestRabinEngineMatchesReference(t *testing.T) {
-	for _, name := range []string{"rabin-default", "rabin-limited"} {
-		spec := testSpecs()[name]
+	tight := DefaultSpec()
+	tight.Window = 32
+	tight.MaskBits = 9
+	tight.Marker = 1<<9 - 1
+	tight.MinSize = 400 // > Window
+	tight.MaxSize = 1500
+	specs := map[string]Spec{
+		"rabin-default": testSpecs()["rabin-default"],
+		"rabin-limited": testSpecs()["rabin-limited"],
+		"rabin-tight":   tight,
+	}
+	data := randomData(21, 2<<20+777)
+	copy(data[1<<20:], make([]byte, 100<<10)) // a run without boundaries
+	for name, spec := range specs {
 		e, err := New(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -100,17 +121,22 @@ func TestRabinEngineMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := randomData(21, 2<<20+777)
-		got := e.Split(data)
 		want := ref.Split(data)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d chunks, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Offset != want[i].Offset || got[i].Length != want[i].Length ||
-				got[i].Fingerprint != uint64(want[i].Cut) || got[i].Forced != want[i].Forced {
-				t.Fatalf("%s chunk %d: %+v != %+v", name, i, got[i], want[i])
+		check := func(path string, got []Chunk) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: %d chunks, want %d", name, path, len(got), len(want))
 			}
+			for i := range want {
+				if got[i].Offset != want[i].Offset || got[i].Length != want[i].Length ||
+					got[i].Fingerprint != uint64(want[i].Cut) || got[i].Forced != want[i].Forced {
+					t.Fatalf("%s %s chunk %d: %+v != %+v", name, path, i, got[i], want[i])
+				}
+			}
+		}
+		check("Split", e.Split(data))
+		for _, write := range []int{61, 4099, 256 << 10} {
+			check(fmt.Sprintf("Stream/%d-byte writes", write), streamChunks(t, e, data, write))
 		}
 	}
 }
@@ -154,6 +180,13 @@ func TestSplitReader(t *testing.T) {
 		want := e.Split(data)
 		if len(chunks) != len(want) {
 			t.Fatalf("%s: %d chunks, want %d", name, len(chunks), len(want))
+		}
+		// A reader that dribbles, then fails: its error comes back as it
+		// is, with the count of the bytes it did deliver.
+		sentinel := errors.New("disk on fire")
+		r := io.MultiReader(iotest.OneByteReader(bytes.NewReader(data[:1000])), iotest.ErrReader(sentinel))
+		if _, n, err := SplitReader(e, r, nil); !errors.Is(err, sentinel) || n != 1000 {
+			t.Fatalf("%s: failing reader: %d bytes, %v; want 1000, %v", name, n, err, sentinel)
 		}
 	}
 }

@@ -117,9 +117,9 @@ func (e *FastCDC) Spec() Spec { return e.spec }
 // cut returns the length of the first chunk of data, assuming data
 // begins at a chunk boundary, plus the gear hash at a content-defined
 // boundary. It is a pure function of data[:min(len(data), MaxSize)],
-// which is what makes Split and the incremental Stream agree: the
-// stream only cuts once it has buffered MaxSize bytes (so the view
-// cannot grow) or the stream has ended (so it cannot either).
+// which is what makes a scan in pieces agree with a scan of the whole:
+// cutScanner only cuts once MaxSize bytes lie past the cursor (so the
+// view cannot grow) or the stream has ended (so it cannot either).
 func (e *FastCDC) cut(data []byte) (n int, fp uint64, forced bool) {
 	if len(data) <= e.min {
 		return len(data), 0, true
@@ -150,86 +150,40 @@ func (e *FastCDC) cut(data []byte) (n int, fp uint64, forced bool) {
 
 // Split cuts data into chunks. The concatenation of the returned
 // chunks always reproduces data exactly.
-func (e *FastCDC) Split(data []byte) []Chunk {
-	var out []Chunk
-	off := int64(0)
-	for len(data) > 0 {
-		n, fp, forced := e.cut(data)
-		out = append(out, Chunk{Offset: off, Length: int64(n), Fingerprint: fp, Forced: forced})
-		off += int64(n)
-		data = data[n:]
-	}
-	return out
-}
-
-// fastcdcStream buffers at most MaxSize + one write's worth of bytes
-// and cuts as soon as a full MaxSize view is available, so its chunks
-// are identical to Split over the concatenated writes. Consumed chunks
-// advance a head cursor; the buffer is compacted once per Write, not
-// once per chunk, keeping the feed linear in stream length.
-type fastcdcStream struct {
-	e      *FastCDC
-	emit   EmitFunc
-	buf    []byte
-	head   int   // index of the first unconsumed byte in buf
-	start  int64 // absolute stream offset of buf[head]
-	closed bool
-	err    error
-}
+func (e *FastCDC) Split(data []byte) []Chunk { return split(e.Scanner(), data) }
 
 // Stream returns an incremental FastCDC feed.
-func (e *FastCDC) Stream(emit EmitFunc) Stream {
-	return &fastcdcStream{e: e, emit: emit}
+func (e *FastCDC) Stream(emit EmitFunc) Stream { return newStream(e.Scanner(), emit) }
+
+// cutScanner is FastCDC's sequential Scanner, the min-skipping cut loop
+// (cutting from candidates, which Parallel does, has to hash the bytes
+// cut skips and runs at about half its speed). cut restarts its hash at
+// every chunk start, so the cursor is all the state and no byte before
+// it is needed.
+type cutScanner struct {
+	e   *FastCDC
+	cut int64 // stream offset of the first byte not yet in an emitted chunk
 }
 
-func (s *fastcdcStream) Write(p []byte) (int, error) {
-	if s.err != nil {
-		return 0, s.err
-	}
-	if s.closed {
-		return 0, errors.New("chunk: write after Close")
-	}
-	if s.head > 0 {
-		s.buf = s.buf[:copy(s.buf, s.buf[s.head:])]
-		s.head = 0
-	}
-	s.buf = append(s.buf, p...)
-	for len(s.buf)-s.head >= s.e.max {
-		n, fp, forced := s.e.cut(s.buf[s.head:])
-		if err := s.flush(n, fp, forced); err != nil {
-			return len(p), err
-		}
-	}
-	return len(p), nil
-}
+// Scanner returns the state to cut one stream in place.
+func (e *FastCDC) Scanner() Scanner { return &cutScanner{e: e} }
 
-func (s *fastcdcStream) flush(n int, fp uint64, forced bool) error {
-	c := Chunk{Offset: s.start, Length: int64(n), Fingerprint: fp, Forced: forced}
-	if err := s.emit(c, s.buf[s.head:s.head+n]); err != nil {
-		s.err = err
-		return err
-	}
-	s.head += n
-	s.start += int64(n)
-	return nil
-}
+func (s *cutScanner) Overlap() int { return 0 }
 
-// Close cuts the buffered tail. It is idempotent.
-func (s *fastcdcStream) Close() error {
-	if s.err != nil {
-		return s.err
+func (s *cutScanner) quantum() int { return 0 } // a Scan with nothing to cut costs nothing
+
+func (s *cutScanner) Scan(view []byte, base int64, final bool, emit func(Chunk) error) error {
+	if base > s.cut || base+int64(len(view)) < s.cut {
+		return errScanView
 	}
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	for len(s.buf)-s.head > 0 {
-		n, fp, forced := s.e.cut(s.buf[s.head:])
-		if err := s.flush(n, fp, forced); err != nil {
+	rest := view[s.cut-base:]
+	for len(rest) >= s.e.max || (final && len(rest) > 0) {
+		n, fp, forced := s.e.cut(rest)
+		if err := emit(Chunk{Offset: s.cut, Length: int64(n), Fingerprint: fp, Forced: forced}); err != nil {
 			return err
 		}
+		s.cut += int64(n)
+		rest = rest[n:]
 	}
 	return nil
 }
-
-func (s *fastcdcStream) Offset() int64 { return s.start + int64(len(s.buf)-s.head) }

@@ -167,29 +167,6 @@ func TestFastCDCShortStreams(t *testing.T) {
 	}
 }
 
-// TestFastCDCStreamReuseAfterClose: Close is idempotent, writes after
-// Close fail.
-func TestFastCDCStreamLifecycle(t *testing.T) {
-	e := mustFastCDC(t, FastCDCSpec(4<<10))
-	var n int
-	s := e.Stream(func(Chunk, []byte) error { n++; return nil })
-	if _, err := s.Write(randomData(9, 10<<10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Write([]byte("x")); err == nil {
-		t.Fatal("write after Close succeeded")
-	}
-	if n == 0 {
-		t.Fatal("no chunks emitted")
-	}
-}
-
 // TestFastCDCStreamPayloads: the bytes handed to emit are exactly the
 // slice of the logical stream the chunk describes.
 func TestFastCDCStreamPayloads(t *testing.T) {

@@ -14,8 +14,10 @@ import (
 // differential (Split == Stream == Parallel == reference), so a change
 // that moves all of them together passes; these vectors are what it
 // cannot move. They were written by the build that introduced this
-// file and must never be regenerated to make a change pass — a
-// mismatch means the change breaks dedup against existing data.
+// file — one in which Rabin's Split was the reference chunker's and
+// each engine had a stream of its own — and must never be regenerated
+// to make a change pass: a mismatch means the change breaks dedup
+// against existing data.
 //
 // The layout follows restic's chunker_test.go: a fixed spec, input from
 // a constant-seeded generator written out below (so the table depends
@@ -156,6 +158,15 @@ func TestGoldenBoundaries(t *testing.T) {
 				p := NewParallel(e, workers)
 				checkGolden(t, fmt.Sprintf("Parallel-%d/Split", workers), want, data, p.Split(data))
 				checkGolden(t, fmt.Sprintf("Parallel-%d/Stream", workers), want, data, streamChunks(t, p, data, 64<<10))
+				checkGolden(t, fmt.Sprintf("Parallel-%d/Scanner/1 MiB segments", workers), want, data, scanSteps(t, p, data, []int{1 << 20}))
+			}
+			// In place, a segment at a time: the smallest the ingest
+			// pipeline could use (one chunk), its own size and around it.
+			for _, seg := range []int{e.Spec().MaxSize, 1 << 20, 4 << 20, len(data)} {
+				if seg == 0 {
+					continue // a spec without a MaxSize
+				}
+				checkGolden(t, fmt.Sprintf("Scanner/%d-byte segments", seg), want, data, scanSteps(t, e, data, []int{seg}))
 			}
 		})
 	}

@@ -19,7 +19,6 @@
 package chunk
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"time"
@@ -35,9 +34,10 @@ type candidate struct {
 	fp  uint64
 }
 
-// regionScanner is the engine capability Parallel needs: a region scan
-// whose candidates match a sequential scan's, plus the sequential
-// policy replay over them. Engines without it fall back to sequential.
+// regionScanner is the engine capability candScanner and Parallel are
+// built on: a region scan whose candidates match a sequential scan's,
+// plus the sequential policy replay over them. Parallel over an engine
+// without it falls back to that engine, unchanged.
 type regionScanner interface {
 	// overlap is how many bytes before a region the scan must feed
 	// through its rolling state so candidates at every region position
@@ -129,11 +129,12 @@ func (p *Parallel) Split(data []byte) []Chunk {
 
 // parallelScan fans data[lo:] out to the workers in fixed regions and
 // returns the merged, ascending candidate list. ok is false when the
-// input is too small to benefit or the engine has no region support;
-// the caller then scans sequentially.
+// input is too small to benefit, the engine has no region support or
+// there is no Parallel at all (p is nil); the caller then scans
+// sequentially.
 func (p *Parallel) parallelScan(data []byte, lo int) ([]candidate, bool) {
 	n := len(data) - lo
-	if p.scanner == nil || p.workers <= 1 || n < 2*parallelMinRegion {
+	if p == nil || p.scanner == nil || p.workers <= 1 || n < 2*parallelMinRegion {
 		return nil, false
 	}
 	workers := p.workers
@@ -197,7 +198,7 @@ func (p *Parallel) observeScan(n, workers int, busy []time.Duration, wall time.D
 	p.utilization.Observe(float64(sum) / (float64(workers) * float64(wall)))
 }
 
-// segmentSize is how many unscanned bytes a stream buffers before
+// segmentSize is how many unscanned bytes a Stream buffers before
 // running a parallel pass: enough for every worker to get a region
 // worth waking for.
 func (p *Parallel) segmentSize() int {
@@ -208,128 +209,17 @@ func (p *Parallel) segmentSize() int {
 	return n
 }
 
+// Scanner returns the state to cut one stream in place: the wrapped
+// engine's candidates, found on all cores wherever a view adds enough
+// bytes to go round. Without region support (or a single worker) it is
+// the wrapped engine's Scanner.
+func (p *Parallel) Scanner() Scanner {
+	if p.scanner == nil || p.workers <= 1 {
+		return p.inner.Scanner()
+	}
+	return &candScanner{rs: p.scanner, p: p}
+}
+
 // Stream returns an incremental feed that chunks buffered segments on
 // all cores, emitting exactly the chunks a sequential stream would.
-// Without region support (or a single worker) it is the wrapped
-// engine's stream.
-func (p *Parallel) Stream(emit EmitFunc) Stream {
-	if p.scanner == nil || p.workers <= 1 {
-		return p.inner.Stream(emit)
-	}
-	return &parallelStream{p: p, emit: emit}
-}
-
-// parallelStream accumulates writes, scans each full segment with the
-// worker pool, and resolves + emits every chunk that is final. A chunk
-// is final unless it is the last resolved one — only that chunk's end
-// sits at the scan horizon rather than at a real cut, so everything
-// before it is exactly what the sequential stream would have emitted.
-// Emitted bytes are dropped from the buffer, keeping only the
-// window-warmup overlap before the current chunk start, so memory
-// stays bounded by segment size + max chunk size.
-type parallelStream struct {
-	p    *Parallel
-	emit EmitFunc
-
-	buf     []byte
-	base    int64 // absolute stream offset of buf[0]
-	start   int   // buf index of the current (unemitted) chunk start
-	scanned int   // buf index the candidate list covers
-	cands   []candidate
-	closed  bool
-	err     error
-}
-
-func (s *parallelStream) Write(p []byte) (int, error) {
-	if s.err != nil {
-		return 0, s.err
-	}
-	if s.closed {
-		return 0, errors.New("chunk: write after Close")
-	}
-	s.buf = append(s.buf, p...)
-	if len(s.buf)-s.scanned >= s.p.segmentSize() {
-		s.scanTo(len(s.buf))
-		if err := s.emitResolved(false); err != nil {
-			return len(p), err
-		}
-	}
-	return len(p), nil
-}
-
-// scanTo extends the candidate list to cover buf[:hi], in parallel
-// when the unscanned span is large enough.
-func (s *parallelStream) scanTo(hi int) {
-	lo := s.scanned
-	if cands, ok := s.p.parallelScan(s.buf[:hi], lo); ok {
-		s.cands = append(s.cands, cands...)
-	} else {
-		s.p.scanner.scanRegion(s.buf[:hi], lo, hi, func(c candidate) {
-			s.cands = append(s.cands, c)
-		})
-	}
-	s.scanned = hi
-}
-
-// emitResolved resolves chunks over the scanned prefix and emits the
-// final ones (all of them when the stream is closing).
-func (s *parallelStream) emitResolved(final bool) error {
-	chunks := s.p.scanner.resolve(s.buf[:s.scanned], s.start, s.cands)
-	keep := len(chunks)
-	if !final && keep > 0 {
-		keep-- // the last chunk ends at the scan horizon, not a real cut
-	}
-	if keep == 0 {
-		return nil
-	}
-	for _, c := range chunks[:keep] {
-		data := s.buf[c.Offset : c.Offset+c.Length]
-		c.Offset += s.base
-		if err := s.emit(c, data); err != nil {
-			s.err = err
-			return err
-		}
-	}
-	s.start = int(chunks[keep-1].Offset + chunks[keep-1].Length)
-	s.trim()
-	return nil
-}
-
-// trim drops emitted bytes, keeping the warmup overlap before the
-// current chunk start so later scans roll the exact sequential state.
-func (s *parallelStream) trim() {
-	drop := s.start - s.p.scanner.overlap()
-	if drop <= 0 {
-		return
-	}
-	kept := s.cands[:0]
-	for _, c := range s.cands {
-		if c.pos <= int64(s.start) {
-			continue // superseded by an emitted cut; resolve would skip it
-		}
-		c.pos -= int64(drop)
-		kept = append(kept, c)
-	}
-	s.cands = kept
-	s.buf = s.buf[:copy(s.buf, s.buf[drop:])]
-	s.base += int64(drop)
-	s.start -= drop
-	s.scanned -= drop
-}
-
-// Close scans and emits the buffered tail. It is idempotent.
-func (s *parallelStream) Close() error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.scanned < len(s.buf) {
-		s.scanTo(len(s.buf))
-	}
-	return s.emitResolved(true)
-}
-
-func (s *parallelStream) Offset() int64 { return s.base + int64(len(s.buf)) }
+func (p *Parallel) Stream(emit EmitFunc) Stream { return newStream(p.Scanner(), emit) }

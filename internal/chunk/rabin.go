@@ -45,9 +45,11 @@ func (s Spec) RabinParams() chunker.Params {
 	}
 }
 
-// Rabin adapts the sequential Rabin reference implementation (package
-// chunker) to the Engine interface. It is the only engine the GPU
-// pipeline can offload: core type-asserts for it and shares its
+// Rabin is Rabin-fingerprint CDC with the parameters, fingerprint table
+// and boundary test of the sequential reference (package chunker),
+// which the differential tests hold it to; the scan itself is
+// scanRegion and the min/max policy is resolve. It is the only engine
+// the GPU pipeline can offload: core type-asserts for it and shares its
 // fingerprint table with the kernel.
 type Rabin struct {
 	spec Spec
@@ -67,34 +69,17 @@ func newRabin(s Spec) (*Rabin, error) {
 // Spec returns the configuration the engine was built from.
 func (r *Rabin) Spec() Spec { return r.spec }
 
-// Chunker exposes the wrapped sequential chunker so cooperating
-// implementations (the GPU kernel, the parallel host chunker) share
-// the exact same fingerprint arithmetic.
+// Chunker exposes the reference chunker the engine takes its table and
+// boundary test from, so cooperating implementations (the GPU kernel)
+// share the exact same fingerprint arithmetic.
 func (r *Rabin) Chunker() *chunker.Chunker { return r.chk }
 
-// fromChunker converts the chunker-native chunk representation.
-func fromChunker(c chunker.Chunk) Chunk {
-	return Chunk{Offset: c.Offset, Length: c.Length, Fingerprint: uint64(c.Cut), Forced: c.Forced}
-}
+// Split cuts data into chunks. The concatenation of the returned
+// chunks always reproduces data exactly.
+func (r *Rabin) Split(data []byte) []Chunk { return split(r.Scanner(), data) }
 
-// Split cuts data with the Rabin reference implementation.
-func (r *Rabin) Split(data []byte) []Chunk {
-	raw := r.chk.Split(data)
-	out := make([]Chunk, len(raw))
-	for i, c := range raw {
-		out[i] = fromChunker(c)
-	}
-	return out
-}
-
-// rabinStream adapts chunker.Stream to the Stream interface.
-type rabinStream struct {
-	*chunker.Stream
-}
+// Scanner returns the state to cut one stream in place.
+func (r *Rabin) Scanner() Scanner { return &candScanner{rs: r} }
 
 // Stream returns an incremental Rabin feed.
-func (r *Rabin) Stream(emit EmitFunc) Stream {
-	return rabinStream{chunker.NewStream(r.chk, func(c chunker.Chunk, data []byte) error {
-		return emit(fromChunker(c), data)
-	})}
-}
+func (r *Rabin) Stream(emit EmitFunc) Stream { return newStream(r.Scanner(), emit) }

@@ -1,5 +1,5 @@
 // regionScanner implementations for the two engines. Each has to prove
-// two properties to plug into Parallel:
+// two properties to plug into candScanner and Parallel:
 //
 //   - the fingerprint at a position is a pure function of a bounded
 //     suffix of preceding bytes (overlap), so a region scan warmed on
@@ -10,7 +10,8 @@
 //     byte-identical to the engine's Split.
 //
 // Rabin's window never resets across chunk boundaries, so candidates
-// are exact everywhere and resolve is exactly chunker.ApplyLimits.
+// are exact everywhere and resolve is exactly chunker.ApplyLimits; the
+// two are all there is to the Rabin engine, sequential or parallel.
 // FastCDC restarts its gear hash at each chunk start and skips the
 // first MinSize bytes, so a candidate's fingerprint equals the
 // in-chunk hash only once the chunk-relative position has absorbed a

@@ -4,15 +4,17 @@
 // low-order MaskBits bits of the window fingerprint equal a predefined
 // marker; optional minimum and maximum chunk sizes bound the result.
 //
-// This package is the sequential reference implementation: the parallel
-// host chunker (chunk.Parallel) and the GPU chunking kernel (package
-// gpu) are required to produce byte-identical boundaries, and their
-// tests assert that against this package.
+// This package is the sequential reference implementation: the Rabin
+// engine the service runs (package chunk), its parallel form
+// (chunk.Parallel) and the GPU chunking kernel (package gpu) are
+// required to produce byte-identical boundaries, and their tests assert
+// that against this package's Split.
 //
 // Code above the algorithm — the core pipeline, the ingest service —
 // should not use this package directly: package chunk defines the
-// algorithm-agnostic engine API and wraps this implementation as its
-// Rabin engine (chunk.RabinSpec lifts a Params into a chunk.Spec).
+// algorithm-agnostic engine API, and its Rabin engine takes its
+// parameters, fingerprint table and boundary test from here
+// (chunk.RabinSpec lifts a Params into a chunk.Spec).
 package chunker
 
 import (

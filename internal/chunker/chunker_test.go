@@ -213,96 +213,6 @@ func TestBoundaryLocality(t *testing.T) {
 	}
 }
 
-func TestStreamMatchesSplit(t *testing.T) {
-	p := DefaultParams()
-	p.MinSize = 1024
-	p.MaxSize = 32768
-	c := mustNew(t, p)
-	data := testData(16, 1<<18)
-	want := c.Split(data)
-
-	for _, writeSize := range []int{1, 7, 100, 4096, len(data)} {
-		var got []Chunk
-		var payload []byte
-		s := NewStream(c, func(ch Chunk, d []byte) error {
-			got = append(got, ch)
-			payload = append(payload, d...)
-			return nil
-		})
-		for off := 0; off < len(data); off += writeSize {
-			end := off + writeSize
-			if end > len(data) {
-				end = len(data)
-			}
-			if _, err := s.Write(data[off:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("writeSize %d: %d chunks, want %d", writeSize, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("writeSize %d chunk %d: %+v != %+v", writeSize, i, got[i], want[i])
-			}
-		}
-		if !bytes.Equal(payload, data) {
-			t.Fatalf("writeSize %d: streamed payload differs from input", writeSize)
-		}
-	}
-}
-
-func TestStreamCallbackError(t *testing.T) {
-	c := mustNew(t, DefaultParams())
-	data := testData(17, 1<<16)
-	wantErr := bytes.ErrTooLarge // any sentinel
-	s := NewStream(c, func(ch Chunk, d []byte) error { return wantErr })
-	_, err := s.Write(data)
-	if err != wantErr {
-		t.Fatalf("Write error = %v, want %v", err, wantErr)
-	}
-	if _, err := s.Write(data); err != wantErr {
-		t.Fatal("error is not sticky")
-	}
-	if err := s.Close(); err != wantErr {
-		t.Fatal("Close did not report sticky error")
-	}
-}
-
-func TestStreamWriteAfterClose(t *testing.T) {
-	c := mustNew(t, DefaultParams())
-	s := NewStream(c, func(Chunk, []byte) error { return nil })
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Write([]byte("x")); err == nil {
-		t.Fatal("expected error writing after Close")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal("Close is not idempotent")
-	}
-}
-
-func TestSplitReader(t *testing.T) {
-	c := mustNew(t, DefaultParams())
-	data := testData(18, 1<<17)
-	chunks, n, err := SplitReader(c, bytes.NewReader(data), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(data)) {
-		t.Fatalf("read %d bytes, want %d", n, len(data))
-	}
-	checkCover(t, chunks, int64(len(data)))
-	want := c.Split(data)
-	if len(chunks) != len(want) {
-		t.Fatalf("%d chunks, want %d", len(chunks), len(want))
-	}
-}
-
 func TestQuickSplitInvariants(t *testing.T) {
 	p := DefaultParams()
 	p.MinSize = 64

@@ -456,10 +456,10 @@ func (s *Session) CommitDedup() (*StreamStats, error) {
 // overlap and is cut and fingerprinted on this goroutine: no goroutine
 // is started for it. One round is on the wire at a time, so the frames
 // are the ones a sequential client would send. The session keeps at most
-// pipelineDepth+2 segment buffers for its streams: 24 MiB, unless the
-// engine holds back more than half a segment (2 MiB) between writes —
-// chunk.Parallel over many workers, a spec with multi-megabyte chunks —
-// when each buffer is that much larger than a segment.
+// pipelineDepth+2 segment buffers for its streams: 24 MiB. The engine
+// scans them in place, so only a spec whose chunks exceed half a segment
+// (2 MiB) — or one with no MaxSize, on data without boundaries — makes
+// each buffer larger than a segment, by that one un-cut chunk.
 //
 // ErrDedupUnsupported is returned before anything is sent and leaves
 // the session usable. Every other failure leaves it dead, to be

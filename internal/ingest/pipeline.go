@@ -14,12 +14,12 @@ import (
 
 // The chunking pipeline: the paper's Reader → Transfer → Kernel → Store
 // overlap (Fig. 2) over real work. A producer goroutine reads the
-// source into pooled segment buffers and feeds them to a chunk.Engine
-// stream, recording boundaries only; a small worker set fingerprints
-// the chunks a batch at a time; the consumer takes hashed batches in
-// stream order. Chunk bodies are views into the segments — nothing is
-// copied per chunk — and a segment goes back to its pool when the last
-// batch holding a view into it is released.
+// source into pooled segment buffers and has the engine's Scanner cut
+// them where they lie; a small worker set fingerprints the chunks a
+// batch at a time; the consumer takes hashed batches in stream order.
+// Chunk bodies are views into the segments — the segments are the only
+// copy of the stream the pipeline holds — and a segment goes back to
+// its pool when the last batch holding a view into it is released.
 //
 // Nothing here knows about sessions or frames: the consumer decides
 // what a batch is for. The dedup client turns one into a HasBatch
@@ -36,14 +36,9 @@ const (
 	batchBytes  = 4 << 20
 	// segmentSize is how much of the stream one segment buffer holds.
 	// A segment also carries the previous segment's un-cut tail at its
-	// front, so every chunk lies inside one segment.
+	// front — and the Scanner's Overlap before that — so every chunk,
+	// and the context to go on cutting after it, lies inside one segment.
 	segmentSize = 4 << 20
-	// feedSize is how much of a segment the engine is handed at a time.
-	// Engines keep what they are written until they have cut it, so a
-	// whole segment at once would have each stream's engine grow a
-	// segment-sized buffer of its own; in slices that buffer stays small
-	// enough to scan out of cache.
-	feedSize = 256 << 10
 	// pipelineDepth is how many batches may queue ahead of the consumer.
 	// With batches capped at a segment's worth of bytes, pipelineDepth+2
 	// segments (the queue, the batch being consumed, the segment being
@@ -101,8 +96,8 @@ func (p *segmentPool) put(s *segment) {
 // get waits for a free segment and returns it holding one reference,
 // with room for carry bytes plus at least half a segment of new ones.
 // It returns nil once quit is closed. A buffer grown for a large carry
-// stays that size in the pool: an engine that needed it once needs it
-// for every segment.
+// stays that size in the pool: a spec that needed it once needs it for
+// every segment.
 func (p *segmentPool) get(carry int, quit <-chan struct{}) *segment {
 	select {
 	case <-p.avail:
@@ -119,9 +114,10 @@ func (p *segmentPool) get(carry int, quit <-chan struct{}) *segment {
 		s = &segment{pool: p}
 	}
 	if need := carry + segmentSize/2; cap(s.buf) < need {
-		// Only an engine that holds back more than half a segment
-		// between writes (chunk.Parallel with many workers, a spec with
-		// multi-megabyte chunks) outgrows the standard size.
+		// The carry is one un-cut chunk and the Scanner's Overlap: only
+		// a spec whose chunks exceed half a segment (2 MiB) — or one with
+		// no MaxSize, on data without boundaries — outgrows the standard
+		// size.
 		size := segmentSize
 		if need > size {
 			size = carry + segmentSize
@@ -179,7 +175,7 @@ type pipelineTimes struct {
 // which take over the segment start filled.
 type chunkPipeline struct {
 	src  io.Reader
-	sink io.WriteCloser // the engine's stream, emitting into emit
+	sc   chunk.Scanner // cuts the current segment in place, emitting into emit
 	pool *segmentPool
 
 	out   chan *chunkBatch // batches in stream order, hashed or about to be
@@ -206,8 +202,7 @@ type chunkPipeline struct {
 // most batchChunks chunks, a batch closing early once it holds
 // batchBytes. It reads the stream's first segment before it returns.
 func startChunkPipeline(src io.Reader, eng chunk.Engine, pool *segmentPool) *chunkPipeline {
-	p := &chunkPipeline{src: src, pool: pool}
-	p.sink = eng.Stream(p.emit)
+	p := &chunkPipeline{src: src, sc: eng.Scanner(), pool: pool}
 	t0 := time.Now()
 	p.cur = pool.get(0, nil)
 	p.cur.base = 0
@@ -215,7 +210,7 @@ func startChunkPipeline(src io.Reader, eng chunk.Engine, pool *segmentPool) *chu
 	p.off = int64(n)
 	p.times.scan = time.Since(t0)
 	if rerr != nil {
-		p.finish(p.run(p.cur.buf[:n], rerr))
+		p.finish(p.run(rerr))
 		t0 = time.Now()
 		for _, b := range p.ready {
 			b.hash()
@@ -231,7 +226,7 @@ func startChunkPipeline(src io.Reader, eng chunk.Engine, pool *segmentPool) *chu
 	p.quit = make(chan struct{})
 	workers := min(runtime.GOMAXPROCS(0), maxHashWorkers)
 	p.wg.Add(1 + workers)
-	go p.produce(p.cur.buf[:n])
+	go p.produce()
 	for i := 0; i < workers; i++ {
 		go p.hashWorker()
 	}
@@ -283,16 +278,16 @@ func (p *chunkPipeline) stop() pipelineTimes {
 	return p.times
 }
 
-// errStopped unwinds the producer out of the engine after stop.
+// errStopped unwinds the producer out of the Scanner after stop.
 var errStopped = errors.New("ingest: chunk pipeline stopped")
 
-// produce is the read+scan stage's goroutine; fresh is the first
-// segment's bytes, read by start and not yet cut.
-func (p *chunkPipeline) produce(fresh []byte) {
+// produce is the read+scan stage's goroutine; it takes over the first
+// segment as start filled it, not yet cut.
+func (p *chunkPipeline) produce() {
 	defer p.wg.Done()
 	defer close(p.out)
 	defer close(p.hashq)
-	p.finish(p.run(fresh, nil))
+	p.finish(p.run(nil))
 }
 
 // finish records how run ended and gives back what it still held: the
@@ -309,12 +304,12 @@ func (p *chunkPipeline) finish(err error) {
 	}
 }
 
-// run cuts the stream from the current segment on: fresh is the part of
-// it start's read delivered and rerr that read's error.
-func (p *chunkPipeline) run(fresh []byte, rerr error) error {
+// run cuts the stream from the current segment on, which start's read
+// filled; rerr is that read's error.
+func (p *chunkPipeline) run(rerr error) error {
 	for {
 		t0, stalled := time.Now(), p.times.stall
-		err := p.scan(fresh, rerr)
+		err := p.scan(rerr)
 		p.times.scan += time.Since(t0) - (p.times.stall - stalled)
 		if err != nil {
 			return err
@@ -323,15 +318,17 @@ func (p *chunkPipeline) run(fresh []byte, rerr error) error {
 			break
 		}
 		// The un-cut tail moves to the front of a fresh segment, so the
-		// chunk it belongs to is contiguous there.
-		tail := p.cur.buf[p.cut-p.cur.base : p.off-p.cur.base]
+		// chunk it belongs to is contiguous there, behind the bytes the
+		// Scanner still wants before it.
+		from := max(p.cut-int64(p.sc.Overlap()), p.cur.base)
+		tail := p.cur.buf[from-p.cur.base : p.off-p.cur.base]
 		t0 = time.Now()
 		seg := p.pool.get(len(tail), p.quit)
 		p.times.stall += time.Since(t0)
 		if seg == nil {
 			return errStopped
 		}
-		seg.base = p.cut
+		seg.base = from
 		copy(seg.buf, tail)
 		p.cur.release()
 		p.cur = seg
@@ -340,7 +337,6 @@ func (p *chunkPipeline) run(fresh []byte, rerr error) error {
 		var n int
 		n, rerr = readFull(p.src, seg.buf[len(tail):])
 		p.off += int64(n)
-		fresh = seg.buf[len(tail) : len(tail)+n]
 		p.times.scan += time.Since(t0)
 	}
 	if p.batch == nil {
@@ -349,23 +345,18 @@ func (p *chunkPipeline) run(fresh []byte, rerr error) error {
 	return p.closeBatch()
 }
 
-// scan cuts fresh, the bytes a read just added to the current segment,
-// and closes the engine's stream when rerr, the read's error, says they
-// were the last. What the source delivered is cut before its error is
-// looked at: only io.EOF is the end of the stream, anything else fails
-// it — after the batches its bytes completed.
-func (p *chunkPipeline) scan(fresh []byte, rerr error) error {
-	for len(fresh) > 0 {
-		w := min(len(fresh), feedSize)
-		if _, err := p.sink.Write(fresh[:w]); err != nil {
-			return err
-		}
-		fresh = fresh[w:]
+// scan cuts the current segment, to which a read has just added bytes,
+// to the stream's last chunk when rerr, the read's error, says they were
+// the last. What the source delivered is cut before its error is looked
+// at: only io.EOF is the end of the stream, anything else fails it —
+// after the batches its bytes completed.
+func (p *chunkPipeline) scan(rerr error) error {
+	seg := p.cur
+	err := p.sc.Scan(seg.buf[:p.off-seg.base], seg.base, rerr == io.EOF, p.emit)
+	if err == nil && rerr != io.EOF {
+		err = rerr
 	}
-	if rerr == io.EOF {
-		return p.sink.Close()
-	}
-	return rerr
+	return err
 }
 
 // readFull reads from r until buf is full or r returns an error, which
@@ -382,9 +373,9 @@ func readFull(r io.Reader, buf []byte) (n int, err error) {
 	return n, err
 }
 
-// emit records one chunk the engine cut: a view into the current
+// emit records one chunk the Scanner cut: a view into the current
 // segment, located by the chunk's stream offset.
-func (p *chunkPipeline) emit(c chunk.Chunk, _ []byte) error {
+func (p *chunkPipeline) emit(c chunk.Chunk) error {
 	if c.Offset != p.cut || c.End() > p.off {
 		return errors.New("ingest: chunk engine emitted chunks out of stream order")
 	}

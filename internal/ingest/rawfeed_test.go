@@ -327,3 +327,57 @@ func TestSmallStreamStartsNoGoroutine(t *testing.T) {
 	c.Close()
 	<-done
 }
+
+// TestSmallStreamAllocatesNoStreamBuffer: with the Feeder's pool warm,
+// what a 64 KiB raw stream allocates is its batch and the Scanner's
+// cursor — the segment is the only copy of the stream's bytes, so there
+// is no stream-sized buffer beside it (an engine stream fed the segment
+// would grow one, 64 KiB or more, for every stream).
+func TestSmallStreamAllocatesNoStreamBuffer(t *testing.T) {
+	data := workload.Random(7, 64<<10)
+	for _, spec := range []chunk.Spec{chunk.FastCDCSpec(4 << 10), DefaultConfig().Shredder.Chunking} {
+		eng, err := chunk.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f Feeder
+		r := bytes.NewReader(data)
+		feed := func() {
+			r.Reset(data)
+			be := &fakeBackend{}
+			if _, err := f.Feed(be, eng, r); err != nil || be.added == 0 {
+				t.Fatalf("%s: Feed added %d chunks: %v", spec.Algo, be.added, err)
+			}
+		}
+		feed() // the first stream allocates the segment the pool then keeps
+		res := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				feed()
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got >= 16<<10 {
+			t.Errorf("%s: a 64 KiB stream allocates %d bytes, want under 16 KiB", spec.Algo, got)
+		} else {
+			t.Logf("%s: %d bytes in %d allocations per 64 KiB stream", spec.Algo, got, res.AllocsPerOp())
+		}
+	}
+}
+
+// TestDefaultChunkingIsThePinnedSpec ties the service default to the
+// literal internal/chunk's golden vectors pin as "rabin-service": a
+// session that never negotiates is cut with exactly that spec, so a
+// change to either side has to be made on both, knowingly.
+func TestDefaultChunkingIsThePinnedSpec(t *testing.T) {
+	want := chunk.Spec{
+		Algo:       chunk.AlgoRabin,
+		Window:     48,
+		Polynomial: 0x3DA3358B4DC173,
+		MaskBits:   12,
+		Marker:     1<<12 - 1,
+		MinSize:    2 << 10,
+		MaxSize:    32 << 10,
+	}
+	if got := DefaultConfig().Shredder.Chunking; got != want {
+		t.Fatalf("DefaultConfig() chunks with %+v, the golden vectors pin %+v", got, want)
+	}
+}

@@ -277,15 +277,11 @@ func main() {
 // sessionSpec maps the -chunker/-avg flags to the spec to negotiate,
 // or nil for the legacy no-negotiation session.
 func sessionSpec(algoName string, avg int) (*chunk.Spec, error) {
-	algo, err := chunk.ParseAlgo(algoName)
+	if algo, err := chunk.ParseAlgo(algoName); err != nil || algo == chunk.AlgoRabin {
+		return nil, err // rabin: server default; skip negotiation entirely
+	}
+	spec, err := chunk.SpecFromSizes(algoName, avg, 0, 0)
 	if err != nil {
-		return nil, err
-	}
-	if algo == chunk.AlgoRabin {
-		return nil, nil // server default; skip negotiation entirely
-	}
-	spec := chunk.FastCDCSpec(avg)
-	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return &spec, nil

@@ -57,8 +57,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
-	"math/bits"
 	"net"
 	"net/http"
 	"os"
@@ -102,7 +100,7 @@ func main() {
 		fatal(fmt.Errorf("gc-threshold %v outside [0, 1]", *gcThreshold))
 	}
 
-	logger, err := buildLogger(*logLevel, *logJSON, *quiet)
+	logger, err := obs.NewLogger(*logLevel, *logJSON, *quiet)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,7 +134,7 @@ func main() {
 		}
 	})
 	if chunkingSet {
-		spec, err := buildSpec(*chunkerName, *avgKiB<<10, *minKiB<<10, *maxKiB<<10)
+		spec, err := chunk.SpecFromSizes(*chunkerName, *avgKiB<<10, *minKiB<<10, *maxKiB<<10)
 		if err != nil {
 			fatal(err)
 		}
@@ -328,30 +326,6 @@ func main() {
 		"logical", fmtBytes(st.LogicalBytes), "ratio", st.Ratio())
 }
 
-// buildLogger maps the logging flags to a slog.Logger on stderr.
-// -quiet raises the floor to warn (suppressing the per-stream Info
-// lines) unless -log-level was given explicitly.
-func buildLogger(level string, json, quiet bool) (*slog.Logger, error) {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	levelSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "log-level" {
-			levelSet = true
-		}
-	})
-	if quiet && !levelSet {
-		lv = slog.LevelWarn
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	if json {
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-}
-
 // fmtBytes is the one byte-formatting helper every human-readable
 // daemon line (startup, statusz, gc, shutdown) goes through.
 func fmtBytes(n int64) string { return stats.Bytes(n) }
@@ -359,40 +333,4 @@ func fmtBytes(n int64) string { return stats.Bytes(n) }
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "shredderd:", err)
 	os.Exit(1)
-}
-
-// buildSpec maps the chunking flags to a chunk.Spec. Sizes are bytes;
-// 0 means the engine's derived default.
-func buildSpec(algoName string, avg, min, max int) (chunk.Spec, error) {
-	algo, err := chunk.ParseAlgo(algoName)
-	if err != nil {
-		return chunk.Spec{}, err
-	}
-	if avg < 2 || avg&(avg-1) != 0 {
-		return chunk.Spec{}, fmt.Errorf("average chunk size %d is not a power of two", avg)
-	}
-	switch algo {
-	case chunk.AlgoFastCDC:
-		spec := chunk.FastCDCSpec(avg)
-		if min != 0 {
-			spec.MinSize = min
-		}
-		if max != 0 {
-			spec.MaxSize = max
-		}
-		return spec, spec.Validate()
-	default:
-		spec := chunk.DefaultSpec()
-		spec.MaskBits = bits.Len(uint(avg)) - 1 // expected chunk size 2^mask
-		spec.Marker = 1<<uint(spec.MaskBits) - 1
-		spec.MinSize = min
-		if min == 0 {
-			spec.MinSize = avg / 2
-		}
-		spec.MaxSize = max
-		if max == 0 {
-			spec.MaxSize = avg * 8
-		}
-		return spec, spec.Validate()
-	}
 }

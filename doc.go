@@ -30,7 +30,10 @@
 //   - internal/shardstore — the sharded, lock-striped, concurrency-safe
 //     chunk store (byte-identical ingest semantics to internal/dedup,
 //     asserted differentially), with a pluggable backing: in-memory by
-//     default, durable via internal/persist. Fully content-addressed:
+//     default, durable via internal/persist. Every put, pin and
+//     release goes through one batch mutator (Store.mutate: partition
+//     by shard, stripe lock, journal a ±1 delta or append the chunk,
+//     one Commit per shard). Fully content-addressed:
 //     recipes are fingerprint lists resolved through the index at
 //     restore time, DeleteRecipe releases a recipe's references (and
 //     drops zero-refcount chunks), and Compact rewrites mostly-dead
@@ -38,12 +41,16 @@
 //   - internal/persist — the durable backing: per-shard append-only
 //     container files plus a length+CRC-framed write-ahead log
 //     (inserts, refcount deltas, compaction relocations), a recipe
-//     journal with tombstones and self-compaction, configurable fsync
-//     policy, and crash-recoverable replay that tolerates a torn
-//     final record. Deletion and compaction are exactly as crash-safe
-//     as ingest: tombstone before release, moved copies before the
-//     WAL checkpoint, checkpoint (atomic rename) before unlink — a
-//     battery of byte-granular truncation tests pins each window
+//     journal with tombstones and self-compaction — both logs one
+//     journal type, every rewritten file (checkpoint, recipe-log
+//     compaction, MANIFEST) through one tmp + fsync + rename + dir-sync
+//     step — configurable fsync policy, and crash-recoverable replay
+//     that tolerates a torn final record; the bytes on disk are pinned
+//     by a checked-in golden store. Deletion and compaction are
+//     exactly as crash-safe as ingest: tombstone before release, moved
+//     copies before the WAL checkpoint, checkpoint (atomic rename)
+//     before unlink — a battery of byte-granular truncation tests pins
+//     each window
 //   - internal/ingest — the streaming ingest service layer: a
 //     length-prefixed binary protocol over net.Conn with per-session
 //     negotiation of protocol version and chunking engine

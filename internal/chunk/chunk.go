@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Algo identifies a chunking algorithm on the wire. The zero value is
@@ -128,6 +129,37 @@ func (s Spec) Validate() error {
 	default:
 		return &UnknownAlgoError{Algo: s.Algo}
 	}
+}
+
+// SpecFromSizes maps what a command line gives — an algorithm name and
+// byte sizes — to a validated Spec. avg is the target chunk size, a power
+// of two; min and max are the chunk-size bounds, 0 meaning the
+// algorithm's derived default (FastCDC avg/4 and avg*4; Rabin avg/2 and
+// avg*8 over the paper's window and polynomial).
+func SpecFromSizes(algoName string, avg, min, max int) (Spec, error) {
+	algo, err := ParseAlgo(algoName)
+	if err != nil {
+		return Spec{}, err
+	}
+	if avg < 2 || avg&(avg-1) != 0 {
+		return Spec{}, fmt.Errorf("average chunk size %d is not a power of two", avg)
+	}
+	var spec Spec
+	if algo == AlgoFastCDC {
+		spec = FastCDCSpec(avg)
+	} else {
+		spec = DefaultSpec()
+		spec.MaskBits = bits.Len(uint(avg)) - 1 // expected chunk size 2^mask
+		spec.Marker = 1<<uint(spec.MaskBits) - 1
+		spec.MinSize, spec.MaxSize = avg/2, avg*8
+	}
+	if min != 0 {
+		spec.MinSize = min
+	}
+	if max != 0 {
+		spec.MaxSize = max
+	}
+	return spec, spec.Validate()
 }
 
 // specWireSize is the fixed encoded size of a Spec.

@@ -140,3 +140,36 @@ func TestFactoryBuildsBothEngines(t *testing.T) {
 		t.Fatal("factory accepted unknown algo")
 	}
 }
+
+// TestSpecFromSizes pins what the daemons' -chunker/-avg/-minchunk/
+// -maxchunk flags mean: `-chunker rabin -avg 4` is the service default
+// the golden vectors restate, FastCDC keeps its derived bounds unless
+// told otherwise, and a size that is not a power of two is refused
+// before it reaches an engine.
+func TestSpecFromSizes(t *testing.T) {
+	wide := FastCDCSpec(4 << 10)
+	wide.MinSize, wide.MaxSize = 2<<10, 8<<10
+	for _, tc := range []struct {
+		algo          string
+		avg, min, max int
+		want          Spec
+	}{
+		{"rabin", 4 << 10, 0, 0, goldenServiceSpec()},
+		{"fastcdc", 4 << 10, 0, 0, FastCDCSpec(4 << 10)},
+		{"fastcdc", 4 << 10, 2 << 10, 8 << 10, wide},
+	} {
+		got, err := SpecFromSizes(tc.algo, tc.avg, tc.min, tc.max)
+		if err != nil || got != tc.want {
+			t.Errorf("SpecFromSizes(%q, %d, %d, %d) = %+v, %v; want %+v", tc.algo, tc.avg, tc.min, tc.max, got, err, tc.want)
+		}
+	}
+	if _, err := SpecFromSizes("gear", 4<<10, 0, 0); err == nil {
+		t.Error("unknown algorithm accepted")
+	}
+	if _, err := SpecFromSizes("rabin", 3000, 0, 0); err == nil {
+		t.Error("average size 3000 accepted")
+	}
+	if _, err := SpecFromSizes("fastcdc", 4<<10, 8<<10, 0); err == nil {
+		t.Error("minimum above the average accepted")
+	}
+}

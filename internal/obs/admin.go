@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"sync/atomic"
 )
 
@@ -121,4 +124,29 @@ func (a *Admin) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 			io.WriteString(w, td.Tree())
 		}
 	}
+}
+
+// NewLogger maps a daemon's logging flags to a slog.Logger on stderr:
+// level is -log-level's value, json picks JSON lines over text, and
+// quiet raises the floor to warn (suppressing the per-stream Info lines)
+// unless -log-level was given explicitly on the command line.
+func NewLogger(level string, json, quiet bool) (*slog.Logger, error) {
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
+		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
+	}
+	levelSet := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "log-level" {
+			levelSet = true
+		}
+	})
+	if quiet && !levelSet {
+		lv = slog.LevelWarn
+	}
+	opts := &slog.HandlerOptions{Level: lv}
+	if json {
+		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+	}
+	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
 }

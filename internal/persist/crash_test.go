@@ -64,7 +64,7 @@ func replayPrefix(t *testing.T, bodies [][]byte) walState {
 	for _, body := range bodies {
 		switch body[0] {
 		case recInsert:
-			h, ci, off, length, err := decodeInsert(body)
+			h, ci, off, length, err := decodeLocated(body)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -357,7 +357,7 @@ func TestCompactionCrashBeforeCheckpointRename(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant half-written checkpoint/rewrite temp files.
-	if err := os.WriteFile(filepath.Join(dir, "shard-0000", walTmpName), []byte("torn checkpoi"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "shard-0000", walName+".tmp"), []byte("torn checkpoi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, recipeLogName+".tmp"), []byte("torn rewrit"), 0o644); err != nil {
@@ -371,7 +371,7 @@ func TestCompactionCrashBeforeCheckpointRename(t *testing.T) {
 	if data, err := st.Reconstruct(keep); err != nil || !bytes.Equal(data, bytes.Join(keepChunks, nil)) {
 		t.Fatalf("stream broken after tmp-file crash: %v", err)
 	}
-	for _, p := range []string{filepath.Join(dir, "shard-0000", walTmpName), filepath.Join(dir, recipeLogName+".tmp")} {
+	for _, p := range []string{filepath.Join(dir, "shard-0000", walName+".tmp"), filepath.Join(dir, recipeLogName+".tmp")} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("leftover temp file %s not removed", p)
 		}

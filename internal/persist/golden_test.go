@@ -43,8 +43,8 @@ const goldenDir = "testdata/golden-v2"
 
 var goldenImages = []string{"prefix", "relocating", "compacted"}
 
-// goldenOpts fixes the fixture's layout; the fsync policy writes nothing
-// to disk, and never keeps the script off any timer.
+// goldenOpts fixes the fixture's layout. The fsync policy leaves no trace
+// in the files; FsyncNever keeps the script off every timer.
 var goldenOpts = Options{Shards: 2, ContainerSize: 64 << 10, Fsync: FsyncPolicy{Mode: FsyncNever}}
 
 // goldenChunk is a size-byte chunk of splitmix64 output whose fingerprint

@@ -135,7 +135,7 @@ func TestGroupCommitBatchesRounds(t *testing.T) {
 	for i := 0; i < b.NumShards(); i++ {
 		sh := b.shards[i]
 		sh.mu.Lock()
-		dirty := sh.walDirty || len(sh.walBuf) > 0
+		dirty := sh.wal.dirty || len(sh.walBuf) > 0
 		sh.mu.Unlock()
 		if dirty {
 			t.Fatalf("shard %d still has unsynced records after its committers were released", i)

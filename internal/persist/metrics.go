@@ -147,7 +147,7 @@ func (b *Backing) Instrument(reg *obs.Registry) {
 		"Current recipe journal size on disk.",
 		func() float64 {
 			b.rmu.Lock()
-			n := b.recipeSize
+			n := b.recipeLog.size
 			b.rmu.Unlock()
 			return float64(n)
 		})

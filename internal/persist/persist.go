@@ -4,12 +4,17 @@
 // holding append-only container files (the chunk bytes) and a
 // write-ahead log journaling every index mutation — inserts, refcount
 // deltas — as length+CRC-framed records; stream recipes are journaled
-// in a store-level log with the same codec. Opening an existing data
-// directory replays the logs against the container bytes actually on
-// disk, tolerating a torn final record (the tail past the last clean
-// record is truncated away, files land back on a consistent boundary),
-// and rebuilds exactly the index, refcounts, recipes and Stats the
-// store had at the journal's horizon.
+// in a store-level log with the same codec. Both logs are one type,
+// journal (journal.go): the only code that opens, appends to, fsyncs or
+// rewrites a journal file, with one atomic replace — temp file, fsync,
+// rename, directory fsync — that the shard checkpoint, the recipe log's
+// compaction and MANIFEST's creation all go through, and one sticky
+// fail-stop when a rewrite dies past its point of no return. Opening an
+// existing data directory replays the logs against the container bytes
+// actually on disk, tolerating a torn final record (the tail past the
+// last clean record is truncated away, files land back on a consistent
+// boundary), and rebuilds exactly the index, refcounts, recipes and Stats
+// the store had at the journal's horizon.
 //
 // Durability is governed by an FsyncPolicy: FsyncAlways makes every
 // acknowledged batch and recipe commit crash-durable, FsyncInterval
@@ -97,15 +102,9 @@ type Backing struct {
 	// nil means every commit point fsyncs inline and Barrier is a no-op.
 	group *groupCommitter
 
-	rmu         sync.Mutex
-	span        *obs.Span // active request span for recipe-journal I/O
-	recipeLog   *os.File
-	recipeSize  int64
-	recipeDirty bool
-	// recipeFailed is set when a journal rewrite died between closing
-	// the old file and installing the new one: the backing fail-stops
-	// recipe writes with the original fault instead of a bare "closed".
-	recipeFailed error
+	rmu       sync.Mutex
+	span      *obs.Span // active request span for recipe-journal I/O
+	recipeLog journal
 	// recipes is the live recipe set (recovered at open, maintained by
 	// CommitRecipe/DeleteRecipe) and rsizes the framed journal bytes
 	// each live name currently occupies; rlive is their running sum —
@@ -190,8 +189,9 @@ func OpenStore(dir string, opts Options) (*shardstore.Store, error) {
 	return st, nil
 }
 
-// loadOrCreateManifest reads the manifest, creating it (atomically,
-// via rename) on first open, and reconciles it with the options.
+// loadOrCreateManifest reads the manifest, creating it on first open
+// (through replaceFile, so no crash leaves a MANIFEST that is not whole),
+// and reconciles it with the options.
 func loadOrCreateManifest(dir string, opts Options) (Options, error) {
 	path := filepath.Join(dir, manifestName)
 	raw, err := os.ReadFile(path)
@@ -230,14 +230,7 @@ func loadOrCreateManifest(dir string, opts Options) (Options, error) {
 			opts.ContainerSize = dedup.DefaultContainerSize
 		}
 		body := fmt.Sprintf("shredder-persist v%d\nshards %d\ncontainer-size %d\n", manifestVersion, opts.Shards, opts.ContainerSize)
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
-			return Options{}, err
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return Options{}, err
-		}
-		if err := syncDir(dir); err != nil {
+		if _, err := replaceFile(path, nil, []byte(body)); err != nil {
 			return Options{}, err
 		}
 		return opts, nil
@@ -250,24 +243,9 @@ func loadOrCreateManifest(dir string, opts Options) (Options, error) {
 // tombstones, last record per name wins — truncating a torn tail just
 // like a shard WAL.
 func (b *Backing) openRecipes() error {
-	path := filepath.Join(b.dir, recipeLogName)
-	// A leftover compaction temp file means a crash hit before the
-	// atomic rename: the old journal is authoritative.
-	if err := os.Remove(path + ".tmp"); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		_ = f.Close()
-		return err
-	}
 	recipes := make(map[string]shardstore.Recipe)
 	rsizes := make(map[string]int64)
-	clean, _ := scanRecords(raw, func(body []byte) error {
+	log, err := openJournal(filepath.Join(b.dir, recipeLogName), func(body []byte) error {
 		if len(body) == 0 {
 			return errTornRecord
 		}
@@ -291,14 +269,10 @@ func (b *Backing) openRecipes() error {
 		}
 		return nil
 	})
-	if int64(clean) < int64(len(raw)) {
-		if err := f.Truncate(int64(clean)); err != nil {
-			_ = f.Close()
-			return err
-		}
+	if err != nil {
+		return err
 	}
-	b.recipeLog = f
-	b.recipeSize = int64(clean)
+	b.recipeLog = log
 	b.recipes = recipes
 	b.rsizes = rsizes
 	b.rlive = 0
@@ -368,25 +342,17 @@ func (b *Backing) appendRecipeRecordLocked(body []byte) error {
 	if err := b.met.syncFailed(); err != nil {
 		return err
 	}
-	if b.recipeFailed != nil {
-		return fmt.Errorf("persist: recipe journal unavailable after failed rewrite: %w", b.recipeFailed)
-	}
-	if b.recipeLog == nil {
-		return errClosed
-	}
 	if b.span != nil {
 		defer b.span.Child("recipe_append", obs.Int("bytes", int64(len(body)))).End()
 	}
 	rec := appendRecord(nil, body)
-	if _, err := b.recipeLog.WriteAt(rec, b.recipeSize); err != nil {
+	if err := b.recipeLog.append(rec); err != nil {
 		return err
 	}
-	b.recipeSize += int64(len(rec))
-	b.recipeDirty = true
 	b.met.recipeRecords.Add(1)
 	b.met.flushedBytes.Add(int64(len(rec)))
 	if b.opts.Fsync.Mode == FsyncAlways && b.group == nil {
-		return b.syncRecipesLocked()
+		return b.recipeLog.sync(&b.met, b.span)
 	}
 	return nil
 }
@@ -401,7 +367,7 @@ func (b *Backing) appendRecipeRecordLocked(body []byte) error {
 // caller already holds, and no recipe is more durable than the inserts
 // and +1 refdeltas it references.
 func (b *Backing) maybeCompactRecipeLogLocked() error {
-	if b.recipeSize <= recipeLogSlack || b.recipeSize <= 2*b.rlive {
+	if b.recipeLog.size <= recipeLogSlack || b.recipeLog.size <= 2*b.rlive {
 		return nil
 	}
 	if err := b.syncShards(); err != nil {
@@ -414,29 +380,11 @@ func (b *Backing) maybeCompactRecipeLogLocked() error {
 		sizes[name] = int64(recHeaderSize + len(body))
 		buf = appendRecord(buf, body)
 	}
-	f, failStop, err := swapJournal(b.dir, filepath.Join(b.dir, recipeLogName), b.recipeLog, buf)
-	if err != nil {
-		if failStop {
-			b.recipeLog, b.recipeFailed = nil, err
-		}
+	if err := b.recipeLog.rewrite(buf); err != nil {
 		return err
 	}
-	b.recipeLog = f
-	b.recipeSize = int64(len(buf))
-	b.recipeDirty = false
 	b.rsizes = sizes
 	b.rlive = int64(len(buf)) // a fresh journal is 100% live records
-	return nil
-}
-
-func (b *Backing) syncRecipesLocked() error {
-	if !b.recipeDirty {
-		return nil
-	}
-	if err := b.met.timedSync(b.recipeLog, b.span); err != nil {
-		return err
-	}
-	b.recipeDirty = false
 	return nil
 }
 
@@ -486,8 +434,8 @@ func (b *Backing) sync(locked func()) error {
 	}
 	// Past a shard failure the journal stays unsynced: its records may
 	// reference exactly what was lost, and the backing is fail-stop now.
-	if first == nil && b.recipeLog != nil {
-		first = b.syncRecipesLocked()
+	if first == nil {
+		first = b.recipeLog.sync(&b.met, b.span)
 	}
 	return first
 }
@@ -580,11 +528,8 @@ func (b *Backing) Close() error {
 		}
 	}
 	b.rmu.Lock()
-	if b.recipeLog != nil {
-		if cerr := b.recipeLog.Close(); err == nil {
-			err = cerr
-		}
-		b.recipeLog = nil
+	if cerr := b.recipeLog.close(); err == nil {
+		err = cerr
 	}
 	b.rmu.Unlock()
 	return err

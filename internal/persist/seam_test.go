@@ -75,8 +75,8 @@ func (r *syncRecorder) sync(f *os.File) error {
 // image writes to dst what a power loss at this instant would leave of
 // the data directory src: every WAL, container and journal cut back to
 // its last-synced size (nothing, if it was never synced). The manifest
-// is written through rename + directory sync at creation, outside the
-// seam, and is kept whole. Taken from inside the fsync of a journal
+// is fsynced and renamed into place before Open returns, and is kept
+// whole. Taken from inside the fsync of a journal
 // rewrite's temp file, the image is the crash just after the rename that
 // follows: the temp file's bytes under the journal's name.
 func (r *syncRecorder) image(src, dst string) error {
@@ -318,7 +318,8 @@ func TestCrashImageGroupCommit(t *testing.T) {
 			return err
 		}
 		defer injMu.Unlock()
-		if closed || injected.Load() >= injections || !b.rmu.TryLock() {
+		// b == nil: the manifest's fsync, inside Open.
+		if b == nil || closed || injected.Load() >= injections || !b.rmu.TryLock() {
 			return nil
 		}
 		b.rmu.Unlock()

@@ -40,10 +40,8 @@ type diskShard struct {
 
 	mu         sync.Mutex // guards all fields below
 	span       *obs.Span  // active request span for I/O attribution
-	wal        *os.File
-	walSize    int64            // bytes durably framed so far
+	wal        journal
 	walBuf     []byte           // records staged since the last Commit
-	walDirty   bool             // WAL has writes not yet fsynced
 	containers []*containerFile // indexed by container number; nil = dropped
 	// run is the open (last) container's staged tail: the chunk bytes
 	// packed since the last flush, which belong at that container's size
@@ -51,10 +49,6 @@ type diskShard struct {
 	// batch appended.
 	run       []byte
 	recovered bool
-	// failed is set when a checkpoint died between closing the old WAL
-	// and installing the new one: the shard fail-stops journal writes
-	// with the original fault instead of a nil-file error.
-	failed error
 }
 
 // containerFile is one append-only container on disk.
@@ -66,7 +60,6 @@ type containerFile struct {
 
 const (
 	walName         = "wal"
-	walTmpName      = walName + ".tmp"
 	containerFormat = "c-%06d.dat"
 )
 
@@ -98,21 +91,7 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return err
 	}
-	// A leftover checkpoint temp file means a crash hit mid-checkpoint,
-	// before the atomic rename: the old WAL is authoritative.
-	if err := os.Remove(filepath.Join(s.dir, walTmpName)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
 	if err := s.openContainers(); err != nil {
-		return err
-	}
-	wal, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	s.wal = wal
-	raw, err := os.ReadFile(filepath.Join(s.dir, walName))
-	if err != nil {
 		return err
 	}
 
@@ -162,13 +141,14 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 		}
 		return true
 	}
-	clean, err := scanRecords(raw, func(body []byte) error {
+	var err error
+	s.wal, err = openJournal(filepath.Join(s.dir, walName), func(body []byte) error {
 		if len(body) == 0 {
 			return errTornRecord
 		}
 		switch body[0] {
 		case recInsert:
-			h, ci, off, length, derr := decodeInsert(body)
+			h, ci, off, length, derr := decodeLocated(body)
 			if derr != nil {
 				return errTornRecord
 			}
@@ -204,7 +184,7 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 				index[h] = e
 			}
 		case recRelocate:
-			h, ci, off, length, derr := decodeRelocate(body)
+			h, ci, off, length, derr := decodeLocated(body)
 			if derr != nil {
 				return errTornRecord
 			}
@@ -234,12 +214,6 @@ func (s *diskShard) Recover(fn func(h shardstore.Hash, ref shardstore.Ref, refco
 	if err != nil {
 		return err
 	}
-	if int64(clean) < int64(len(raw)) {
-		if err := s.wal.Truncate(int64(clean)); err != nil {
-			return err
-		}
-	}
-	s.walSize = int64(clean)
 	for i, cf := range s.containers {
 		if cf != nil && cf.size > watermarks[i] {
 			if err := cf.f.Truncate(watermarks[i]); err != nil {
@@ -356,34 +330,33 @@ func (s *diskShard) writeRunLocked() error {
 	return nil
 }
 
-// Append stages data for the open container (rolling when full) and
-// its insert record; both are written at the next Commit — bytes, then
-// record — and become durable there under the shard's fsync policy.
-func (s *diskShard) Append(h shardstore.Hash, data []byte) (int, int64, error) {
+// stage packs data at the end of the open container and stages the
+// record that names it there: typ is recInsert for a new chunk and
+// recRelocate for a compaction move. Bytes and record are written at the
+// next Commit — bytes first — and become durable there under the shard's
+// fsync policy.
+func (s *diskShard) stage(typ byte, h shardstore.Hash, data []byte) (int, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ci, off, err := s.pack(data)
 	if err != nil {
 		return 0, 0, err
 	}
-	s.walBuf = appendRecord(s.walBuf, encodeInsert(h, ci, off, int64(len(data))))
+	s.walBuf = appendRecord(s.walBuf, encodeLocated(typ, h, ci, off, int64(len(data))))
 	s.met.walRecords.Add(1)
 	return ci, off, nil
+}
+
+// Append stages a new chunk's bytes and its insert record.
+func (s *diskShard) Append(h shardstore.Hash, data []byte) (int, int64, error) {
+	return s.stage(recInsert, h, data)
 }
 
 // Relocate re-packs a surviving chunk's bytes during compaction and
 // stages the relocation record: the entry keeps its fingerprint and
 // reference count, only its location changes.
 func (s *diskShard) Relocate(h shardstore.Hash, data []byte) (int, int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ci, off, err := s.pack(data)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.walBuf = appendRecord(s.walBuf, encodeRelocate(h, ci, off, int64(len(data))))
-	s.met.walRecords.Add(1)
-	return ci, off, nil
+	return s.stage(recRelocate, h, data)
 }
 
 // LogRefDelta stages a refcount-change record.
@@ -428,25 +401,15 @@ func (s *diskShard) flushLocked() error {
 	if len(s.walBuf) == 0 {
 		return nil
 	}
-	if s.failed != nil {
-		return fmt.Errorf("persist: shard %d journal unavailable after failed checkpoint: %w", s.id, s.failed)
-	}
-	if s.wal == nil {
-		return errClosed
-	}
 	if s.span != nil {
 		defer s.span.Child("wal_append",
 			obs.Int("shard", int64(s.id)), obs.Int("bytes", int64(len(s.walBuf)))).End()
 	}
-	if _, err := s.wal.WriteAt(s.walBuf, s.walSize); err != nil {
-		// walSize is not advanced: the next flush rewrites the region
-		// and recovery ignores any torn tail it may have left.
+	if err := s.wal.append(s.walBuf); err != nil {
 		return err
 	}
-	s.walSize += int64(len(s.walBuf))
 	s.met.flushedBytes.Add(int64(len(s.walBuf)))
 	s.walBuf = s.walBuf[:0]
-	s.walDirty = true
 	return nil
 }
 
@@ -460,13 +423,7 @@ func (s *diskShard) fsyncLocked() error {
 			cf.dirty = false
 		}
 	}
-	if s.walDirty {
-		if err := s.met.timedSync(s.wal, s.span); err != nil {
-			return err
-		}
-		s.walDirty = false
-	}
-	return nil
+	return s.wal.sync(s.met, s.span)
 }
 
 // sync flushes and fsyncs everything (the interval ticker, Sync and
@@ -500,21 +457,14 @@ func (s *diskShard) Checkpoint(live []shardstore.CheckpointEntry, drop []int) er
 	}
 	var buf []byte
 	for _, e := range live {
-		buf = appendRecord(buf, encodeInsert(e.Hash, e.Ref.Container, e.Ref.Offset, e.Ref.Length))
+		buf = appendRecord(buf, encodeLocated(recInsert, e.Hash, e.Ref.Container, e.Ref.Offset, e.Ref.Length))
 		if e.Refcount > 1 {
 			buf = appendRecord(buf, encodeRefDelta(e.Hash, e.Refcount-1))
 		}
 	}
-	wal, failStop, err := swapJournal(s.dir, filepath.Join(s.dir, walName), s.wal, buf)
-	if err != nil {
-		if failStop {
-			s.wal, s.failed = nil, err
-		}
+	if err := s.wal.rewrite(buf); err != nil {
 		return err
 	}
-	s.wal = wal
-	s.walSize = int64(len(buf))
-	s.walDirty = false
 	s.met.checkpoints.Add(1)
 	for _, ci := range drop {
 		if ci < 0 || ci >= len(s.containers)-1 || s.containers[ci] == nil {
@@ -602,23 +552,7 @@ func (s *diskShard) close() error {
 		}
 	}
 	s.containers, s.run = nil, nil
-	if s.wal != nil {
-		if cerr := s.wal.Close(); err == nil {
-			err = cerr
-		}
-		s.wal = nil
-	}
-	return err
-}
-
-// syncDir fsyncs a directory so a just-created file's entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
+	if cerr := s.wal.close(); err == nil {
 		err = cerr
 	}
 	return err

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 
 	"shredder/internal/shardstore"
 )
@@ -111,54 +110,12 @@ func scanRecords(p []byte, fn func(body []byte) error) (clean int, err error) {
 	return off, nil
 }
 
-// swapJournal atomically replaces the journal at path with buf — the
-// checkpoint/rewrite commit protocol shared by the shard WAL and the
-// recipe log: buf is written to path+".tmp" and fsynced, the old
-// handle is closed, the temp file renamed over the journal, the
-// directory fsynced, and the fresh journal reopened. A crash at any
-// byte leaves either the old journal intact or the new one complete
-// (the rename is the commit point; leftover .tmp files are removed at
-// open). On error, failStop reports whether the old handle was
-// already closed — the caller must then stop journal writes with the
-// returned error rather than continue against a dead handle.
-func swapJournal(dir, path string, old *os.File, buf []byte) (f *os.File, failStop bool, err error) {
-	tmpPath := path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, false, err
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		_ = tmp.Close()
-		return nil, false, err
-	}
-	if err := fsyncFile(tmp); err != nil {
-		_ = tmp.Close()
-		return nil, false, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, false, err
-	}
-	if err := old.Close(); err != nil {
-		return nil, true, err
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		return nil, true, err
-	}
-	if err := syncDir(dir); err != nil {
-		return nil, true, err
-	}
-	f, err = os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, true, err
-	}
-	return f, false, nil
-}
-
 // --- typed payloads ---
 
-// encodeLocated frames the shared insert/relocate payload shape: a
-// fingerprint plus the container location its bytes live at. The shard
-// is implied by which shard's WAL holds the record.
+// encodeLocated frames the payload recInsert and recRelocate share: a
+// fingerprint plus the container location its bytes live at — stored
+// there (insert) or moved there by compaction (relocate). The shard is
+// implied by which shard's WAL holds the record.
 func encodeLocated(typ byte, h shardstore.Hash, container int, offset, length int64) []byte {
 	body := make([]byte, 0, 1+len(h)+3*binary.MaxVarintLen64)
 	body = append(body, typ)
@@ -189,24 +146,6 @@ func decodeLocated(body []byte) (h shardstore.Hash, container int, offset, lengt
 		return h, 0, 0, 0, errors.New("persist: located record trailing bytes")
 	}
 	return h, int(u[0]), int64(u[1]), int64(u[2]), nil
-}
-
-// encodeInsert journals h stored at (container, offset, length).
-func encodeInsert(h shardstore.Hash, container int, offset, length int64) []byte {
-	return encodeLocated(recInsert, h, container, offset, length)
-}
-
-func decodeInsert(body []byte) (shardstore.Hash, int, int64, int64, error) {
-	return decodeLocated(body)
-}
-
-// encodeRelocate journals a compaction move of h to a new location.
-func encodeRelocate(h shardstore.Hash, container int, offset, length int64) []byte {
-	return encodeLocated(recRelocate, h, container, offset, length)
-}
-
-func decodeRelocate(body []byte) (shardstore.Hash, int, int64, int64, error) {
-	return decodeLocated(body)
 }
 
 // encodeRefDelta journals a refcount change for h.

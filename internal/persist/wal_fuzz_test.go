@@ -23,19 +23,19 @@ func walSeedCorpus() [][]byte {
 		{recRelocate},
 		{recRecipeDelete},
 		{0xff, 0x00},
-		encodeInsert(h, 0, 0, 0),
-		encodeInsert(h, 1<<20, 1<<40, 32<<10),
+		encodeLocated(recInsert, h, 0, 0, 0),
+		encodeLocated(recInsert, h, 1<<20, 1<<40, 32<<10),
 		encodeRefDelta(h, 1),
 		encodeRefDelta(h, -1), // the delete path's release
 		encodeRefDelta(h, -(1 << 50)),
-		encodeRelocate(h, 0, 0, 0),
-		encodeRelocate(h, 7, 1<<30, 4096),
+		encodeLocated(recRelocate, h, 0, 0, 0),
+		encodeLocated(recRelocate, h, 7, 1<<30, 4096),
 		encodeRecipe("vm-master", shardstore.Recipe{testHash(1), testHash(2)}),
 		encodeRecipe("", nil),
 		encodeRecipeDelete("vm-master"),
 		encodeRecipeDelete(""),
 		appendRecord(nil, encodeRefDelta(h, 1)),                          // a framed record as raw input
-		appendRecord(nil, encodeRelocate(h, 1, 2, 3)),                    // framed relocate
+		appendRecord(nil, encodeLocated(recRelocate, h, 1, 2, 3)),        // framed relocate
 		appendRecord(appendRecord(nil, []byte{recInsert}), []byte{0xab}), // two frames
 		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0},                             // 4 GiB length claim
 		bytes.Repeat([]byte{0x00}, recHeaderSize),                        // empty body, zero CRC
@@ -91,8 +91,8 @@ func FuzzWALRecord(f *testing.F) {
 		if len(in) > 0 {
 			switch in[0] {
 			case recInsert:
-				if h, ci, off, length, err := decodeInsert(in); err == nil {
-					if !bytes.Equal(encodeInsert(h, ci, off, length), in) {
+				if h, ci, off, length, err := decodeLocated(in); err == nil {
+					if !bytes.Equal(encodeLocated(recInsert, h, ci, off, length), in) {
 						t.Skip("non-canonical varint encoding") // decodable but not what we emit
 					}
 				}
@@ -103,8 +103,8 @@ func FuzzWALRecord(f *testing.F) {
 					}
 				}
 			case recRelocate:
-				if h, ci, off, length, err := decodeRelocate(in); err == nil {
-					if !bytes.Equal(encodeRelocate(h, ci, off, length), in) {
+				if h, ci, off, length, err := decodeLocated(in); err == nil {
+					if !bytes.Equal(encodeLocated(recRelocate, h, ci, off, length), in) {
 						t.Skip("non-canonical varint encoding")
 					}
 				}

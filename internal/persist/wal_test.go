@@ -43,7 +43,7 @@ func TestRecordFraming(t *testing.T) {
 // TestRecordTornDetection covers every way the final record can tear:
 // short header, short body, flipped body bit, flipped CRC bit.
 func TestRecordTornDetection(t *testing.T) {
-	body := encodeInsert(testHash(1), 0, 0, 512)
+	body := encodeLocated(recInsert, testHash(1), 0, 0, 512)
 	rec := appendRecord(nil, body)
 	for cut := 0; cut < len(rec); cut++ {
 		if _, _, err := readRecord(rec[:cut]); err != errTornRecord {
@@ -100,8 +100,8 @@ func TestScanRecordsPrefix(t *testing.T) {
 // TestInsertRoundTrip pins the typed insert codec.
 func TestInsertRoundTrip(t *testing.T) {
 	h := testHash(9)
-	body := encodeInsert(h, 3, 123456, 4096)
-	gh, ci, off, length, err := decodeInsert(body)
+	body := encodeLocated(recInsert, h, 3, 123456, 4096)
+	gh, ci, off, length, err := decodeLocated(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestInsertRoundTrip(t *testing.T) {
 		t.Fatalf("got (%x, %d, %d, %d)", gh[:4], ci, off, length)
 	}
 	for cut := 1; cut < len(body); cut++ {
-		if _, _, _, _, err := decodeInsert(body[:cut]); err == nil {
+		if _, _, _, _, err := decodeLocated(body[:cut]); err == nil {
 			t.Fatalf("truncated insert body at %d decoded", cut)
 		}
 	}
@@ -162,11 +162,11 @@ func TestRecipeRoundTrip(t *testing.T) {
 // TestRelocateRoundTrip pins the compaction-move codec.
 func TestRelocateRoundTrip(t *testing.T) {
 	h := testHash(5)
-	body := encodeRelocate(h, 4, 98765, 2048)
+	body := encodeLocated(recRelocate, h, 4, 98765, 2048)
 	if body[0] != recRelocate {
 		t.Fatalf("record type %d", body[0])
 	}
-	gh, ci, off, length, err := decodeRelocate(body)
+	gh, ci, off, length, err := decodeLocated(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRelocateRoundTrip(t *testing.T) {
 		t.Fatalf("got (%x, %d, %d, %d)", gh[:4], ci, off, length)
 	}
 	for cut := 1; cut < len(body); cut++ {
-		if _, _, _, _, err := decodeRelocate(body[:cut]); err == nil {
+		if _, _, _, _, err := decodeLocated(body[:cut]); err == nil {
 			t.Fatalf("truncated relocate body at %d decoded", cut)
 		}
 	}

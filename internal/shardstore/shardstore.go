@@ -252,36 +252,120 @@ func (s *Store) Put(data []byte) (Ref, bool, error) {
 	return refs[0], dup[0], err
 }
 
-// put is the single-shard insert; the caller holds sh.mu.
-func (sh *shard) put(h Hash, data []byte) (Ref, bool, error) {
-	if e, ok := sh.index[h]; ok {
-		if err := sh.back.LogRefDelta(h, 1); err != nil {
-			return Ref{}, false, err
-		}
-		sh.index[h] = entry{e.ref, e.refs + 1}
-		return e.ref, true, nil
-	}
-	ci, off, err := sh.back.Append(h, data)
-	if err != nil {
-		return Ref{}, false, err
-	}
-	ref := Ref{Shard: sh.idx, Container: ci, Offset: off, Length: int64(len(data))}
-	sh.index[h] = entry{ref, 1}
-	sh.live[ci] += ref.Length
-	return ref, false, nil
-}
-
-// release drops one reference from h; at zero the entry leaves the
-// index (its bytes stay in the container until compaction). The caller
-// holds sh.mu and has already journaled the decrement.
-func (sh *shard) release(h Hash, e entry) (freed bool) {
-	if e.refs > 1 {
-		sh.index[h] = entry{e.ref, e.refs - 1}
+// applyDelta applies a journaled ±1 to a held entry; at zero the entry
+// leaves the index (its bytes stay in the container until compaction).
+// The caller holds sh.mu and has already journaled the delta.
+func (sh *shard) applyDelta(h Hash, e entry, delta int64) (dropped bool) {
+	if e.refs += delta; e.refs > 0 {
+		sh.index[h] = e
 		return false
 	}
 	delete(sh.index, h)
 	sh.live[e.ref.Container] -= e.ref.Length
 	return true
+}
+
+// tally is what one batch mutation applied, in the units the stats fold
+// and DeleteStats share: references taken or given back and their logical
+// bytes, and how many of them were edges — created an index entry (a
+// put's unique insert) or dropped one (a release reaching zero).
+type tally struct {
+	refs, bytes      int64
+	edges, edgeBytes int64
+}
+
+// mutate is the one place a batch changes the shards, behind every put,
+// pin and release. The fingerprints are grouped by shard so each stripe
+// lock is taken at most once; under it, each fingerprint in input order
+// takes one step — a journaled delta (±1) on an entry the index holds, an
+// Append when it holds none and bodies were given (a put), nothing
+// otherwise (a pin's miss; a release of an entry a torn-tail recovery
+// already lost) — and a shard that staged any record ends with one
+// Commit. For puts and pins refs[i] is where hs[i]'s chunk lives and
+// held[i] whether the index had it before the step; a release returns
+// neither. On a backing error the batch stops early:
+// what was applied stays applied and accounted. A non-nil sp attributes
+// the backing's journal writes and fsyncs: to a shard_put child per shard
+// for a put, to sp itself for pins and releases.
+func (s *Store) mutate(hs []Hash, bodies [][]byte, delta int64, sp *obs.Span) (refs []Ref, held []bool, t tally, err error) {
+	if delta > 0 { // a release reports counts only
+		refs, held = make([]Ref, len(hs)), make([]bool, len(hs))
+	}
+	err = s.byShard(hs, func(sh *shard, idxs []int) error {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		if sp != nil {
+			ssp := sp
+			if bodies != nil {
+				ssp = sp.Child("shard_put",
+					obs.Int("shard", int64(sh.idx)), obs.Int("chunks", int64(len(idxs))))
+				defer ssp.End()
+			}
+			sh.setSpan(ssp)
+			defer sh.setSpan(nil)
+		}
+		staged := false
+		for _, i := range idxs {
+			h := hs[i]
+			e, ok := sh.index[h]
+			var edge bool
+			switch {
+			case ok:
+				if err := sh.back.LogRefDelta(h, delta); err != nil {
+					return err
+				}
+				edge = sh.applyDelta(h, e, delta)
+			case bodies != nil:
+				ci, off, err := sh.back.Append(h, bodies[i])
+				if err != nil {
+					return err
+				}
+				e = entry{Ref{Shard: sh.idx, Container: ci, Offset: off, Length: int64(len(bodies[i]))}, 1}
+				sh.index[h] = e
+				sh.live[ci] += e.ref.Length
+				edge = true
+			default:
+				continue
+			}
+			staged = true
+			if delta > 0 {
+				refs[i], held[i] = e.ref, ok
+			}
+			t.refs++
+			t.bytes += e.ref.Length
+			if edge {
+				t.edges++
+				t.edgeBytes += e.ref.Length
+			}
+		}
+		if staged {
+			return sh.back.Commit()
+		}
+		return nil
+	})
+	// Mirror of the recovery derivation: every reference is one chunk
+	// write of its length; an edge is the unique insert (or its undoing),
+	// every other reference a duplicate hit (or its undoing).
+	s.chunks.Add(delta * t.refs)
+	s.logical.Add(delta * t.bytes)
+	s.hits.Add(delta * (t.refs - t.edges))
+	s.unique.Add(delta * t.edges)
+	s.stored.Add(delta * t.edgeBytes)
+	if delta < 0 {
+		s.releases.Add(t.refs)
+	}
+	return refs, held, t, err
+}
+
+// absent lists the ascending indices a batched lookup did not find.
+func absent(found []bool) []int {
+	missing := make([]int, 0, len(found))
+	for i, ok := range found {
+		if !ok {
+			missing = append(missing, i)
+		}
+	}
+	return missing
 }
 
 // Has reports whether a chunk with fingerprint h is already stored —
@@ -318,14 +402,7 @@ func (s *Store) Missing(hs []Hash) []int {
 	if h := s.missingSeconds; h != nil {
 		defer h.ObserveSince(time.Now())
 	}
-	found := s.HasBatch(hs)
-	missing := make([]int, 0, len(hs))
-	for i, ok := range found {
-		if !ok {
-			missing = append(missing, i)
-		}
-	}
-	return missing
+	return absent(s.HasBatch(hs))
 }
 
 // PinBatch answers a batched Matching query while taking one reference
@@ -354,47 +431,8 @@ func (s *Store) PinBatchTraced(hs []Hash, sp *obs.Span) (refs []Ref, missing []i
 	if h := s.missingSeconds; h != nil {
 		defer h.ObserveSinceExemplar(time.Now(), sp.Trace())
 	}
-	refs = make([]Ref, len(hs))
-	found := make([]bool, len(hs))
-	var logical, chunksN, dups int64
-	err = s.byShard(hs, func(sh *shard, idxs []int) error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if sp != nil {
-			sh.setSpan(sp)
-			defer sh.setSpan(nil)
-		}
-		pinned := false
-		for _, i := range idxs {
-			e, ok := sh.index[hs[i]]
-			if !ok {
-				continue
-			}
-			if err := sh.back.LogRefDelta(hs[i], 1); err != nil {
-				return err
-			}
-			sh.index[hs[i]] = entry{e.ref, e.refs + 1}
-			refs[i], found[i] = e.ref, true
-			chunksN++
-			dups++
-			logical += e.ref.Length
-			pinned = true
-		}
-		if pinned {
-			return sh.back.Commit()
-		}
-		return nil
-	})
-	s.chunks.Add(chunksN)
-	s.logical.Add(logical)
-	s.hits.Add(dups)
-	missing = make([]int, 0, len(hs))
-	for i, ok := range found {
-		if !ok {
-			missing = append(missing, i)
-		}
-	}
-	return refs, missing, err
+	refs, found, _, err := s.mutate(hs, nil, 1, sp)
+	return refs, absent(found), err
 }
 
 // PutBatch stores a batch of chunks in order, grouping the inserts by
@@ -442,42 +480,7 @@ func (s *Store) PutHashedBatchTraced(hs []Hash, chunks [][]byte, sp *obs.Span) (
 	if len(hs) != len(chunks) {
 		return nil, nil, fmt.Errorf("shardstore: %d fingerprints for %d chunks", len(hs), len(chunks))
 	}
-	refs := make([]Ref, len(chunks))
-	dup := make([]bool, len(chunks))
-	var logical, stored int64
-	var chunksN, dups, uniques int64
-	err := s.byShard(hs, func(sh *shard, idxs []int) error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if sp != nil {
-			ssp := sp.Child("shard_put",
-				obs.Int("shard", int64(sh.idx)), obs.Int("chunks", int64(len(idxs))))
-			defer ssp.End()
-			sh.setSpan(ssp)
-			defer sh.setSpan(nil)
-		}
-		for _, i := range idxs {
-			var perr error
-			refs[i], dup[i], perr = sh.put(hs[i], chunks[i])
-			if perr != nil {
-				return perr
-			}
-			chunksN++
-			logical += int64(len(chunks[i]))
-			if dup[i] {
-				dups++
-			} else {
-				uniques++
-				stored += int64(len(chunks[i]))
-			}
-		}
-		return sh.back.Commit()
-	})
-	s.chunks.Add(chunksN)
-	s.logical.Add(logical)
-	s.hits.Add(dups)
-	s.unique.Add(uniques)
-	s.stored.Add(stored)
+	refs, dup, _, err := s.mutate(hs, chunks, 1, sp)
 	return refs, dup, err
 }
 
@@ -696,63 +699,16 @@ func (s *Store) Release(r Recipe) (DeleteStats, error) {
 	return s.releaseRefs(r, nil)
 }
 
-// releaseRefs gives back one reference per recipe entry, journaling
-// each decrement under its shard's stripe lock; entries reaching zero
-// leave the index. Shared by DeleteRecipe and recipe replacement. A
-// non-nil sp attributes each shard's journal writes to the span.
+// releaseRefs gives back one reference per recipe entry; entries reaching
+// zero leave the index. Shared by Release, DeleteRecipe and recipe
+// replacement. A non-nil sp attributes each shard's journal writes to
+// the span.
 func (s *Store) releaseRefs(r Recipe, sp *obs.Span) (DeleteStats, error) {
-	var ds DeleteStats
-	var logical, chunksN, hitsN, uniques, stored int64
-	err := s.byShard([]Hash(r), func(sh *shard, idxs []int) error {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if sp != nil {
-			sh.setSpan(sp)
-			defer sh.setSpan(nil)
-		}
-		touched := false
-		for _, i := range idxs {
-			h := r[i]
-			e, ok := sh.index[h]
-			if !ok {
-				// A recipe entry with no live chunk: only possible after a
-				// torn-tail recovery already lost the insert. Nothing to
-				// release.
-				continue
-			}
-			if err := sh.back.LogRefDelta(h, -1); err != nil {
-				return err
-			}
-			touched = true
-			ds.ChunksReleased++
-			chunksN++
-			logical += e.ref.Length
-			if sh.release(h, e) {
-				ds.ChunksFreed++
-				ds.BytesFreed += e.ref.Length
-				uniques++
-				stored += e.ref.Length
-			} else {
-				hitsN++
-			}
-		}
-		if touched {
-			return sh.back.Commit()
-		}
-		return nil
-	})
+	_, _, t, err := s.mutate(r, nil, -1, sp)
 	if err == nil {
 		err = s.commitBarrier()
 	}
-	// Mirror of the recovery derivation: a released reference undoes one
-	// duplicate hit; a dropped entry undoes its unique insert.
-	s.releases.Add(chunksN)
-	s.chunks.Add(-chunksN)
-	s.logical.Add(-logical)
-	s.hits.Add(-hitsN)
-	s.unique.Add(-uniques)
-	s.stored.Add(-stored)
-	return ds, err
+	return DeleteStats{ChunksReleased: t.refs, ChunksFreed: t.edges, BytesFreed: t.edgeBytes}, err
 }
 
 // CompactStats summarizes one compaction pass.

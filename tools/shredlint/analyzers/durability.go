@@ -10,7 +10,7 @@ import (
 // Durability encodes the store's write-ahead ordering contract:
 //
 //  1. Journal before apply. Inside any one function, a refcount
-//     decrement (releaseRefs / release) must not precede the journal
+//     change (releaseRefs / applyDelta) must not precede the journal
 //     call that makes it recoverable (DeleteRecipe / CommitRecipe
 //     tombstones, LogRefDelta deltas). A crash between an applied
 //     decrement and a missing tombstone leaks or loses chunks.
@@ -28,9 +28,10 @@ import (
 //     commit and the tombstone are where the whole durable-before-ack
 //     promise is paid.
 //  4. Data before journal. In the package that declares FsyncMode, a
-//     function that writes the shard WAL buffer to its file (a WriteAt
-//     of a walBuf) must have flushed the staged container run
-//     (writeRunLocked) earlier in the same function. Appends stage chunk
+//     function that writes the shard WAL buffer to its journal (the
+//     journal's append method, or a file's WriteAt, handed a walBuf)
+//     must have flushed the staged container run (writeRunLocked)
+//     earlier in the same function. Appends stage chunk
 //     bytes and insert records side by side; only the order of those two
 //     statements keeps a record from reaching the journal ahead of the
 //     bytes it names, where recovery would trust it.
@@ -45,7 +46,7 @@ var Durability = &analysis.Analyzer{
 var durabilityPairs = []struct{ journal, apply string }{
 	{"DeleteRecipe", "releaseRefs"},
 	{"CommitRecipe", "releaseRefs"},
-	{"LogRefDelta", "release"},
+	{"LogRefDelta", "applyDelta"},
 }
 
 // commitPoints are the exported entry points that promise durability
@@ -81,8 +82,10 @@ func runDurability(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkDataBeforeJournal flags a WriteAt of the shard's walBuf that no
-// writeRunLocked call precedes in fd.
+// checkDataBeforeJournal flags a journal write of the shard's walBuf —
+// x.append(walBuf) or x.WriteAt(walBuf, …), methods only, so the builtin
+// append that stages a record is not one — that no writeRunLocked call
+// precedes in fd.
 func checkDataBeforeJournal(pass *analysis.Pass, fd *ast.FuncDecl) {
 	var journal []*ast.CallExpr
 	runFlushed := token.Pos(-1)
@@ -96,8 +99,9 @@ func checkDataBeforeJournal(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if runFlushed < 0 || call.Pos() < runFlushed {
 				runFlushed = call.Pos()
 			}
-		case "WriteAt":
-			if len(call.Args) > 0 && exprName(call.Args[0]) == "walBuf" {
+		case "append", "WriteAt":
+			_, method := call.Fun.(*ast.SelectorExpr)
+			if method && len(call.Args) > 0 && exprName(call.Args[0]) == "walBuf" {
 				journal = append(journal, call)
 			}
 		}

@@ -12,8 +12,16 @@ type ref struct{ h string }
 type store struct {
 	f      *os.File
 	wal    *os.File
+	jnl    journal
 	walBuf []byte
 	run    []byte
+}
+
+type journal struct{ f *os.File }
+
+func (j *journal) append(recs []byte) error {
+	_, err := j.f.WriteAt(recs, 0)
+	return err
 }
 
 // Commit flushes but never syncs: an acked commit can still be lost.
@@ -53,14 +61,14 @@ func (s *store) removeRecipe(name string, refs []ref) error {
 // releaseRefs applies each decrement before logging its delta.
 func (s *store) releaseRefs(refs []ref) {
 	for _, r := range refs {
-		s.release(r) // want `release applies a refcount change before LogRefDelta journals it`
+		s.applyDelta(r) // want `applyDelta applies a refcount change before LogRefDelta journals it`
 	}
 	for _, r := range refs {
 		s.LogRefDelta(r.h, -1)
 	}
 }
 
-func (s *store) release(r ref)               {}
+func (s *store) applyDelta(r ref)            {}
 func (s *store) LogRefDelta(h string, d int) {}
 
 // flushJournalFirst writes the insert records ahead of the chunk bytes
@@ -68,6 +76,17 @@ func (s *store) LogRefDelta(h string, d int) {}
 // over a container that never got the data.
 func (s *store) flushJournalFirst() error {
 	if _, err := s.wal.WriteAt(s.walBuf, 0); err != nil { // want `flushJournalFirst writes the WAL buffer before the staged container run is flushed`
+		return err
+	}
+	return s.writeRunLocked()
+}
+
+// flushThroughJournal does the same through the journal type: staging a
+// record with the builtin append is not the write, handing the buffer to
+// the journal is.
+func (s *store) flushThroughJournal(rec []byte) error {
+	s.walBuf = append(s.walBuf, rec...)
+	if err := s.jnl.append(s.walBuf); err != nil { // want `flushThroughJournal writes the WAL buffer before the staged container run is flushed`
 		return err
 	}
 	return s.writeRunLocked()

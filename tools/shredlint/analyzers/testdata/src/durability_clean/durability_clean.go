@@ -11,9 +11,17 @@ type ref struct{ h string }
 type store struct {
 	f      *os.File
 	wal    *os.File
+	jnl    journal
 	walBuf []byte
 	run    []byte
 	always bool
+}
+
+type journal struct{ f *os.File }
+
+func (j *journal) append(recs []byte) error {
+	_, err := j.f.WriteAt(recs, 0)
+	return err
 }
 
 // Commit honors the fsync policy before acking.
@@ -34,6 +42,17 @@ func (s *store) flush() error {
 	}
 	_, err := s.wal.WriteAt(s.walBuf, 0)
 	return err
+}
+
+// flushThroughJournal is flush through the journal type. The builtin
+// append that stages a record may come before the run is written; the
+// journal's append may not.
+func (s *store) flushThroughJournal(rec []byte) error {
+	s.walBuf = append(s.walBuf, rec...)
+	if err := s.writeRunLocked(); err != nil {
+		return err
+	}
+	return s.jnl.append(s.walBuf)
 }
 
 // writeRunLocked writes a buffer with WriteAt too, but not the journal's.
@@ -68,9 +87,9 @@ func (s *store) removeRecipe(name string, refs []ref) error {
 func (s *store) releaseRefs(refs []ref) {
 	for _, r := range refs {
 		s.LogRefDelta(r.h, -1)
-		s.release(r)
+		s.applyDelta(r)
 	}
 }
 
-func (s *store) release(r ref)               {}
+func (s *store) applyDelta(r ref)            {}
 func (s *store) LogRefDelta(h string, d int) {}

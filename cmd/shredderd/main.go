@@ -58,11 +58,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"shredder/internal/chunk"
@@ -109,14 +106,7 @@ func main() {
 	bi := obs.RegisterBuildInfo(reg)
 	// Tracing is always on (two small bounded rings); -trace-slow adds
 	// slow-trace retention and a logged span tree per slow operation.
-	tracer := obs.NewTracer(obs.TracerConfig{
-		SlowThreshold: *traceSlow,
-		OnSlow: func(root *obs.Span) {
-			logger.Warn("slow operation", "name", root.Name(),
-				"dur", root.Duration().Round(time.Microsecond).String(),
-				"trace", root.Trace().String(), "tree", "\n"+root.TraceData().Tree())
-		},
-	})
+	tracer := obs.NewDaemonTracer(*traceSlow, logger)
 	cfg := ingest.DefaultConfig()
 	cfg.Shards = *shards
 	cfg.BatchSize = *batch
@@ -234,29 +224,11 @@ func main() {
 		}
 	})
 	adm.SetTracer(tracer)
-	var adminSrv *http.Server
-	if *admin != "" {
-		al, err := net.Listen("tcp", *admin)
-		if err != nil {
-			fatal(err)
-		}
-		adminSrv = &http.Server{Handler: adm}
-		go func() {
-			if err := adminSrv.Serve(al); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("admin server failed", "err", err)
-			}
-		}()
-		logger.Info("admin endpoint up", "addr", al.Addr().String())
+	stopAdmin, err := adm.Serve(*admin, logger)
+	if err != nil {
+		fatal(err)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		logger.Info("draining sessions", "signal", s.String())
-		adm.SetDraining(true)
-		l.Close()
-	}()
+	adm.DrainOnSignal(l, logger)
 
 	// Background GC: every interval, compact containers whose live
 	// fraction fell below the threshold (retention churn creates them
@@ -315,9 +287,7 @@ func main() {
 		close(gcStop)
 		<-gcDone
 	}
-	if adminSrv != nil {
-		adminSrv.Close()
-	}
+	stopAdmin()
 	if err := store.Close(); err != nil {
 		fatal(err)
 	}

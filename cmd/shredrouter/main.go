@@ -37,10 +37,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"shredder/internal/chunk"
@@ -92,14 +89,7 @@ func main() {
 
 	reg := obs.NewRegistry()
 	bi := obs.RegisterBuildInfo(reg)
-	tracer := obs.NewTracer(obs.TracerConfig{
-		SlowThreshold: *traceSlow,
-		OnSlow: func(root *obs.Span) {
-			logger.Warn("slow operation", "name", root.Name(),
-				"dur", root.Duration().Round(time.Microsecond).String(),
-				"trace", root.Trace().String(), "tree", "\n"+root.TraceData().Tree())
-		},
-	})
+	tracer := obs.NewDaemonTracer(*traceSlow, logger)
 
 	spec := cluster.DefaultSpec()
 	if *chunkerName != "" {
@@ -145,29 +135,11 @@ func main() {
 			fmtBytes(int64(cspec.MinSize)), fmtBytes(int64(cspec.MaxSize)))
 	})
 	adm.SetTracer(tracer)
-	var adminSrv *http.Server
-	if *admin != "" {
-		al, err := net.Listen("tcp", *admin)
-		if err != nil {
-			fatal(err)
-		}
-		adminSrv = &http.Server{Handler: adm}
-		go func() {
-			if err := adminSrv.Serve(al); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				logger.Error("admin server failed", "err", err)
-			}
-		}()
-		logger.Info("admin endpoint up", "addr", al.Addr().String())
+	stopAdmin, err := adm.Serve(*admin, logger)
+	if err != nil {
+		fatal(err)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		logger.Info("draining sessions", "signal", s.String())
-		adm.SetDraining(true)
-		l.Close()
-	}()
+	adm.DrainOnSignal(l, logger)
 
 	logger.Info("routing", "addr", l.Addr().String(), "nodes", c.Ring().Len(),
 		"vnodes", *vnodes, "engine", spec.Algo.String())
@@ -175,9 +147,7 @@ func main() {
 		fatal(err)
 	}
 	router.Shutdown(*grace)
-	if adminSrv != nil {
-		adminSrv.Close()
-	}
+	stopAdmin()
 	logger.Info("shut down cleanly")
 }
 

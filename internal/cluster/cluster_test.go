@@ -265,10 +265,36 @@ func TestClusterDifferentialThreeNodes(t *testing.T) {
 }
 
 // TestClusterKillNodeMidStream pins chunks on all three nodes through
-// a dedup round, kills one owner, and asserts the commit fails with a
-// typed *NodeError while the survivors release every pin — the
-// cluster-level version of TestAbortedDedupStreamReleasesPins.
+// half a stream, kills one owner, feeds the other half, and asserts the
+// stream fails with a typed *NodeError naming the killed node — from the
+// feed or from Commit — while the survivors release every pin: the
+// cluster-level version of TestAbortedDedupStreamReleasesPins. It runs
+// once for each way a stream is fed: a dedup client's RoundHas/RoundBody,
+// and Add.
 func TestClusterKillNodeMidStream(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		feed func(st *Stream, hs []dedup.Hash, bodies [][]byte) error
+	}{
+		{"rounds", func(st *Stream, hs []dedup.Hash, bodies [][]byte) error {
+			missing, err := st.RoundHas(hs)
+			if err != nil {
+				return err
+			}
+			for _, idx := range missing {
+				if err := st.RoundBody(bodies[idx]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"add", (*Stream).Add},
+	} {
+		t.Run(tc.name, func(t *testing.T) { killNodeMidStream(t, tc.feed) })
+	}
+}
+
+func killNodeMidStream(t *testing.T, feed func(st *Stream, hs []dedup.Hash, bodies [][]byte) error) {
 	spec := chunk.FastCDCSpec(4 << 10)
 	tc := startNodes(t, 3)
 	c := newTestCluster(t, tc, spec)
@@ -292,41 +318,36 @@ func TestClusterKillNodeMidStream(t *testing.T) {
 		}
 	}
 
-	st, err := c.NewStream("victim", obs.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// RoundHas is synchronous: when it returns, every owner has applied
-	// the batch and is pinning the stream's chunks.
-	missing, err := st.RoundHas(hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) == 0 {
-		t.Fatal("nothing missing — pins are not exercised")
-	}
-	for _, idx := range missing {
-		if err := st.RoundBody(bodies[idx]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Every node must own part of the stream, or killing one proves
+	// Every node must own part of the first half, or killing one proves
 	// nothing about the others.
+	half := len(hs) / 2
 	owners := make(map[int]bool)
-	for _, h := range hs {
+	for _, h := range hs[:half] {
 		owners[c.Ring().Owner(h)] = true
 	}
 	if len(owners) != len(tc.srvs) {
 		t.Fatalf("stream only spans nodes %v — enlarge the workload", owners)
 	}
+
+	st, err := c.NewStream("victim", obs.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both feeds are synchronous: when one returns, every owner has
+	// answered its share and is pinning the stream's chunks.
+	if err := feed(st, hs[:half], bodies[:half]); err != nil {
+		t.Fatal(err)
+	}
 	victim := c.Ring().Owner(hs[0])
 	tc.kill(victim)
 
-	_, err = st.Commit()
+	err = feed(st, hs[half:], bodies[half:])
+	if err == nil {
+		_, err = st.Commit()
+	}
 	var ne *NodeError
 	if !errors.As(err, &ne) {
-		t.Fatalf("commit against a dead node returned %v, want *NodeError", err)
+		t.Fatalf("stream against a dead node ended with %v, want *NodeError", err)
 	}
 	if ne.Node != tc.topo.Nodes[victim].ID {
 		t.Fatalf("NodeError names %q, want the killed node %q", ne.Node, tc.topo.Nodes[victim].ID)
@@ -351,6 +372,98 @@ func TestClusterKillNodeMidStream(t *testing.T) {
 	// And the failed stream must not have become restorable.
 	if _, err := rs.RestoreBytes("victim"); err == nil {
 		t.Fatal("half-committed stream restored cleanly")
+	}
+}
+
+// TestClusterAddReachesOwnersBeforeCommit: Add is a round on every owner,
+// not a queue. When it returns, each owner has pinned the chunks it
+// already held — inside its answer, so the refcounts show at once — and
+// has been sent the bodies it lacked, which it stores before it answers
+// anything else; both are on the node stores before Commit.
+func TestClusterAddReachesOwnersBeforeCommit(t *testing.T) {
+	spec := chunk.FastCDCSpec(4 << 10)
+	tc := startNodes(t, 3)
+	c := newTestCluster(t, tc, spec)
+	base := workload.Random(7, 256<<10)
+	if _, err := c.NewSession().BackupBytes("base", base); err != nil {
+		t.Fatal(err)
+	}
+	data := append(append([]byte(nil), base...), workload.Random(8, 256<<10)...)
+	hs, bodies := chunksOf(t, spec, data)
+	baseHs, _ := chunksOf(t, spec, base)
+	held := make(map[dedup.Hash]bool)
+	for _, h := range baseHs {
+		held[h] = true
+	}
+
+	st, err := c.NewStream("both", obs.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Add(hs, bodies); err != nil {
+		t.Fatal(err)
+	}
+	refcount := func(h dedup.Hash) int64 { return tc.srvs[c.Ring().Owner(h)].Store().Refcount(h) }
+	fresh := 0
+	for _, h := range hs {
+		if !held[h] {
+			fresh++
+		} else if rc := refcount(h); rc != 2 {
+			t.Fatalf("held chunk %x: refcount %d when Add returned, want 2", h[:8], rc)
+		}
+	}
+	if fresh == 0 {
+		t.Fatal("no fresh chunk — body uploads are not exercised")
+	}
+	waitFor(t, "owners to store the fresh chunks", func() bool {
+		for _, h := range hs {
+			if !held[h] && refcount(h) != 1 {
+				return false
+			}
+		}
+		return true
+	})
+	if _, err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.NewSession().Verify("both", data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterAddWithBodiesOwed: an Add between a RoundHas and the bodies
+// it asked for is refused before anything is sent, so the owed bodies and
+// the commit still go through and the stream restores as fed.
+func TestClusterAddWithBodiesOwed(t *testing.T) {
+	spec := chunk.FastCDCSpec(4 << 10)
+	tc := startNodes(t, 3)
+	c := newTestCluster(t, tc, spec)
+	data := workload.Random(9, 256<<10)
+	hs, bodies := chunksOf(t, spec, data)
+	st, err := c.NewStream("owed", obs.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	missing, err := st.RoundHas(hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) == 0 {
+		t.Fatal("nothing missing — no body is owed")
+	}
+	if err := st.Add(hs, bodies); err == nil {
+		t.Fatal("Add with bodies still owed was accepted")
+	}
+	for _, idx := range missing {
+		if err := st.RoundBody(bodies[idx]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.NewSession().Verify("owed", data); err != nil {
+		t.Fatal(err)
 	}
 }
 

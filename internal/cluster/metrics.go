@@ -21,8 +21,8 @@ type metrics struct {
 	nodeUp       []*obs.Gauge
 	nodeTx       []*obs.Counter
 	nodeRx       []*obs.Counter
-	nodeRounds   []*obs.Counter
-	nodeRoundSec []*obs.Histogram
+	rounds       []*obs.Counter
+	roundSec     []*obs.Histogram
 	nodeDialFail []*obs.Counter
 }
 
@@ -49,10 +49,10 @@ func newMetrics(reg *obs.Registry, t Topology) *metrics {
 		m.nodeRx = append(m.nodeRx, reg.Counter("cluster_node_rx_bytes_total",
 			"Payload bytes received from the node (restored chunks, manifests).",
 			"node", n.ID))
-		m.nodeRounds = append(m.nodeRounds, reg.Counter("cluster_node_rounds_total",
+		m.rounds = append(m.rounds, reg.Counter("cluster_node_rounds_total",
 			"Dedup fingerprint rounds run against the node.", "node", n.ID))
-		m.nodeRoundSec = append(m.nodeRoundSec, reg.Histogram("cluster_node_round_seconds",
-			"Per-node dedup round latency (HasBatch out to missing-set answer).",
+		m.roundSec = append(m.roundSec, reg.Histogram("cluster_node_round_seconds",
+			"Per-node dedup round latency: HasBatch out to missing-set answer, plus the owed bodies' upload on a round with the bodies in hand (Add).",
 			obs.LatencyBuckets, "node", n.ID))
 		m.nodeDialFail = append(m.nodeDialFail, reg.Counter("cluster_node_dial_failures_total",
 			"Failed attempts to lease a session to the node.", "node", n.ID))
@@ -98,8 +98,8 @@ func (m *metrics) round(i int, dur time.Duration) {
 	if m == nil {
 		return
 	}
-	m.nodeRounds[i].Inc()
-	m.nodeRoundSec[i].Observe(dur.Seconds())
+	m.rounds[i].Inc()
+	m.roundSec[i].Observe(dur.Seconds())
 }
 
 func (m *metrics) nodeTraffic(i int, tx, rx int64) {

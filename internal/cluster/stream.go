@@ -13,61 +13,24 @@ import (
 	"shredder/internal/obs"
 )
 
-// Per-node round batching on the locally chunked path, matching the
-// single-node client's bounds: a round goes out once a node has this
-// many fingerprints or this many held body bytes.
-const (
-	routeBatchChunks = 256
-	routeBatchBytes  = 4 << 20
-	// routeQueueDepth is the per-node backlog of dispatched rounds. Depth
-	// 1 stalls the producer whenever a single node is mid-commit, which
-	// forfeits the whole point of the fan-out: on durability-bound nodes
-	// the WAL fsyncs only overlap if every node's queue stays stocked.
-	// A few rounds of headroom (bounded by routeBatchBytes each) keep all
-	// nodes busy while chunking continues.
-	routeQueueDepth = 4
-)
-
-// nodeRound is one dispatched fingerprint round for a node worker.
-type nodeRound struct {
-	hs     []dedup.Hash
-	bodies [][]byte
-}
-
 // streamNode is one node's share of an in-flight routed stream.
 type streamNode struct {
 	idx    int
 	sess   *ingest.Session
 	opened bool // BeginDedup sent
 
-	// Locally chunked path: the pending batch and the worker feeding
-	// rounds to the node concurrently with chunking (and with the
-	// other nodes' rounds).
-	hs     []dedup.Hash
-	bodies [][]byte
-	held   int64
-	ch     chan nodeRound
-	done   chan struct{}
-
 	// stats is the node's commit reply.
 	stats *ingest.StreamStats
-
-	mu  sync.Mutex
-	err error // first failure; the node drains afterwards
+	// err is the node's first failure; it takes no round afterwards.
+	// During a fan-out only the goroutine running the node's share sets
+	// it, and the stream's goroutine reads it once that one is waited out.
+	err error
 }
 
 func (n *streamNode) fail(err error) {
-	n.mu.Lock()
 	if n.err == nil {
 		n.err = err
 	}
-	n.mu.Unlock()
-}
-
-func (n *streamNode) failed() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.err
 }
 
 // Stream is one in-flight routed backup: chunks split by ring
@@ -78,17 +41,21 @@ func (n *streamNode) failed() error {
 // concurrent use — one goroutine drives a stream (the internal per-node
 // fan-out is the concurrency).
 //
-// Two mutually exclusive feeding modes share the commit machinery:
+// Every round goes through one fan-out (fanOut): the batch splits by
+// owner, and each owner's share runs concurrently on its own sub-stream,
+// so a slow node overlaps with its siblings. Two ways to feed a stream
+// share it and the commit machinery:
 //
 //   - Add, for callers holding chunk bodies (RoutedSession.Backup, the
-//     router's raw-protocol clients): rounds are batched per node and
-//     shipped by per-node workers, so a slow node overlaps with
-//     chunking and with its siblings.
+//     router's raw-protocol clients): each owner runs a round with the
+//     bodies in hand — its fingerprints, then the bodies it lacks —
+//     before Add returns. The chunking pipeline in front cuts and hashes
+//     the next batch meanwhile.
 //   - RoundHas/RoundBody, for the router's dedup-protocol clients,
 //     where each round's bodies only arrive after the merged missing
-//     set goes back to the client: fingerprints fan out to the owners
-//     concurrently, the per-node answers merge into client batch
-//     indices, and the client's bodies are then forwarded one by one.
+//     set goes back to the client: the owners answer their fingerprints,
+//     the per-node answers merge into client batch indices, and the
+//     client's bodies are then forwarded one by one.
 type Stream struct {
 	c    *Cluster
 	name string
@@ -150,133 +117,117 @@ func (st *Stream) ensureOpen(n *streamNode) error {
 	return nil
 }
 
-// worker ships one node's rounds. After a failure it keeps draining
-// the channel (dropping rounds) so the producer never blocks.
-func (st *Stream) worker(n *streamNode) {
-	defer close(n.done)
-	for r := range n.ch {
-		if n.failed() != nil {
-			continue
-		}
-		if st.ensureOpen(n) != nil {
-			continue
-		}
-		t0 := time.Now()
-		missing, err := n.sess.DedupRound(r.hs, r.bodies)
-		st.c.met.round(n.idx, time.Since(t0))
-		if err != nil {
-			n.fail(st.nodeErr(n, err))
-			continue
-		}
-		tx := int64(len(r.hs) * len(dedup.Hash{}))
-		for _, i := range missing {
-			tx += int64(len(r.bodies[i]))
-		}
-		st.c.met.nodeTraffic(n.idx, tx, 0)
-	}
+// share is one owner's part of a batch: its fingerprints and bodies, the
+// batch index of each, and the owner's answer to the round.
+type share struct {
+	n       *streamNode
+	idx     []int
+	hs      []dedup.Hash
+	bodies  [][]byte
+	missing []int // indices into hs the owner lacked
 }
 
-// Add routes the next chunks of the stream, bodies[i] hashing to hs[i].
-// The bodies are only valid for the call and the per-node workers ship
-// them after it, so the batch is copied — once, into one allocation the
-// nodes' rounds share. A non-nil error means some node already failed —
-// the caller should stop feeding and Abort (Commit would surface the
-// same error).
-func (st *Stream) Add(hs []dedup.Hash, bodies [][]byte) error {
-	var size int
-	for _, body := range bodies {
-		size += len(body)
-	}
-	kept := make([]byte, 0, size)
-	st.hashes = append(st.hashes, hs...)
-	for i, h := range hs {
-		at := len(kept)
-		kept = append(kept, bodies[i]...)
-		n := st.nodes[st.c.ring.Owner(h)]
-		n.hs = append(n.hs, h)
-		n.bodies = append(n.bodies, kept[at:len(kept):len(kept)])
-		n.held += int64(len(bodies[i]))
-		if len(n.hs) >= routeBatchChunks || n.held >= routeBatchBytes {
-			if err := st.flushNode(n); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flushNode hands the node's pending batch to its worker, starting the
-// worker on first use. Returns the node's failure, if any, so the
-// producer can stop early.
-func (st *Stream) flushNode(n *streamNode) error {
-	if len(n.hs) == 0 {
-		return n.failed()
-	}
-	if n.ch == nil {
-		n.ch = make(chan nodeRound, routeQueueDepth)
-		n.done = make(chan struct{})
-		go st.worker(n)
-	}
-	n.ch <- nodeRound{hs: n.hs, bodies: n.bodies}
-	n.hs, n.bodies, n.held = nil, nil, 0
-	return n.failed()
-}
-
-// RoundHas runs one client fingerprint round: the batch splits by
-// ownership, the owners answer concurrently, and the merged result is
-// the ascending client batch indices the cluster is missing. The
-// caller owes exactly one RoundBody per returned index, in order,
-// before the next RoundHas or Commit.
-func (st *Stream) RoundHas(hs []dedup.Hash) ([]int, error) {
-	if st.op == "backup" && len(st.hashes) > 0 {
-		return nil, errors.New("cluster: RoundHas on a stream already fed with Add")
-	}
-	st.op = "backup_dedup"
-	if len(st.bodyOwners) != 0 {
-		return nil, fmt.Errorf("cluster: new round with %d bodies still owed", len(st.bodyOwners))
-	}
-	subIdx := make([][]int, len(st.nodes))
-	subHs := make([][]dedup.Hash, len(st.nodes))
-	var involved []*streamNode
+// fanOut is the stream's one round across the ring: hs (and bodies, when
+// given) split by owner, every owner's sub-stream opens on first use, and
+// round runs on every owner's share concurrently, on the owner's session,
+// timed into cluster_node_round_seconds; it returns the indices into the
+// share's hs the owner lacked. fanOut returns the shares in batch order
+// of first appearance and, when an owner failed, its *NodeError; a node
+// that failed in an earlier round takes no part.
+func (st *Stream) fanOut(hs []dedup.Hash, bodies [][]byte,
+	round func(s *ingest.Session, hs []dedup.Hash, bodies [][]byte) ([]int, error)) ([]*share, error) {
+	byNode := make([]*share, len(st.nodes))
+	var shares []*share
 	for i, h := range hs {
 		o := st.c.ring.Owner(h)
-		if subHs[o] == nil {
-			involved = append(involved, st.nodes[o])
+		sh := byNode[o]
+		if sh == nil {
+			sh = &share{n: st.nodes[o]}
+			byNode[o] = sh
+			shares = append(shares, sh)
 		}
-		subHs[o] = append(subHs[o], h)
-		subIdx[o] = append(subIdx[o], i)
+		sh.idx = append(sh.idx, i)
+		sh.hs = append(sh.hs, h)
+		if bodies != nil {
+			sh.bodies = append(sh.bodies, bodies[i])
+		}
 	}
-	st.hashes = append(st.hashes, hs...)
-	missingByNode := make([][]int, len(st.nodes))
 	var wg sync.WaitGroup
-	for _, n := range involved {
+	for _, sh := range shares {
 		wg.Add(1)
-		go func(n *streamNode) {
+		go func() {
 			defer wg.Done()
-			if st.ensureOpen(n) != nil {
+			n := sh.n
+			if n.err != nil || st.ensureOpen(n) != nil {
 				return
 			}
 			t0 := time.Now()
-			miss, err := n.sess.HasBatch(subHs[n.idx])
+			missing, err := round(n.sess, sh.hs, sh.bodies)
 			st.c.met.round(n.idx, time.Since(t0))
-			st.c.met.nodeTraffic(n.idx, int64(len(subHs[n.idx])*len(dedup.Hash{})), 0)
 			if err != nil {
 				n.fail(st.nodeErr(n, err))
 				return
 			}
-			missingByNode[n.idx] = miss
-		}(n)
+			sh.missing = missing
+			tx := int64(len(sh.hs) * len(dedup.Hash{}))
+			if sh.bodies != nil {
+				for _, i := range missing {
+					tx += int64(len(sh.bodies[i]))
+				}
+			}
+			st.c.met.nodeTraffic(n.idx, tx, 0)
+		}()
 	}
 	wg.Wait()
-	for _, n := range involved {
-		if err := n.failed(); err != nil {
-			return nil, err
+	for _, sh := range shares {
+		if sh.n.err != nil {
+			return nil, sh.n.err
 		}
 	}
+	return shares, nil
+}
+
+// Add routes the next chunks of the stream, bodies[i] hashing to hs[i]:
+// every owner of the batch runs a round with the bodies in hand on its
+// share (Session.DedupRound), concurrently. The bodies are only valid for
+// the call, and they are written into each owner session's buffer and
+// flushed before Add returns, so nothing is copied. A non-nil error is
+// the first failed owner's *NodeError — the caller should stop feeding
+// and Abort (Commit would surface the same error). While a RoundHas
+// answer still owes bodies, Add is refused and sends nothing.
+func (st *Stream) Add(hs []dedup.Hash, bodies [][]byte) error {
+	if len(st.bodyOwners) != 0 {
+		return fmt.Errorf("cluster: batch added with %d bodies still owed", len(st.bodyOwners))
+	}
+	st.hashes = append(st.hashes, hs...)
+	_, err := st.fanOut(hs, bodies, (*ingest.Session).DedupRound)
+	return err
+}
+
+// hasBatch is a round without bodies: the owner answers its fingerprints.
+func hasBatch(s *ingest.Session, hs []dedup.Hash, _ [][]byte) ([]int, error) {
+	return s.HasBatch(hs)
+}
+
+// RoundHas runs one client fingerprint round: the owners answer their
+// shares of the batch concurrently, and the merged result is the
+// ascending client batch indices the cluster is missing. The caller owes
+// exactly one RoundBody per returned index, in order, before the next
+// RoundHas, Add or Commit.
+func (st *Stream) RoundHas(hs []dedup.Hash) ([]int, error) {
+	st.op = "backup_dedup"
+	if len(st.bodyOwners) != 0 {
+		return nil, fmt.Errorf("cluster: new round with %d bodies still owed", len(st.bodyOwners))
+	}
+	st.hashes = append(st.hashes, hs...)
+	shares, err := st.fanOut(hs, nil, hasBatch)
+	if err != nil {
+		return nil, err
+	}
 	var missing []int
-	for _, n := range involved {
-		for _, mi := range missingByNode[n.idx] {
-			missing = append(missing, subIdx[n.idx][mi])
+	for _, sh := range shares {
+		for _, mi := range sh.missing {
+			missing = append(missing, sh.idx[mi])
 		}
 	}
 	sort.Ints(missing)
@@ -298,8 +249,8 @@ func (st *Stream) RoundBody(body []byte) error {
 	}
 	n := st.bodyOwners[0]
 	st.bodyOwners = st.bodyOwners[1:]
-	if err := n.failed(); err != nil {
-		return err
+	if n.err != nil {
+		return n.err
 	}
 	if err := n.sess.WriteBody(body); err != nil {
 		ne := st.nodeErr(n, err)
@@ -310,23 +261,11 @@ func (st *Stream) RoundBody(body []byte) error {
 	return nil
 }
 
-// stopWorkers closes every worker channel and waits them out.
-func (st *Stream) stopWorkers() {
-	for _, n := range st.nodes {
-		if n.ch != nil {
-			close(n.ch)
-			<-n.done
-			n.ch = nil
-		}
-	}
-}
-
 // Abort abandons the stream: every leased node session is discarded,
 // which the nodes observe as a dropped sub-stream and answer by
 // releasing the references the stream pinned. Idempotent; safe after a
 // failed Commit.
 func (st *Stream) Abort() {
-	st.stopWorkers()
 	for _, n := range st.nodes {
 		if n.sess != nil {
 			st.c.pools[n.idx].Discard(n.sess)
@@ -340,10 +279,10 @@ func (st *Stream) Abort() {
 	}
 }
 
-// Commit finishes the stream: remaining rounds flush, every opened
-// node commits its sub-stream (concurrently), stale sub-streams from a
-// previous backup under the same name are cleared off the other nodes,
-// and the manifest is committed on the home node last. The returned
+// Commit finishes the stream: every opened node commits its sub-stream
+// (concurrently), stale sub-streams from a previous backup under the same
+// name are cleared off the other nodes, and the manifest is committed on
+// the home node last. The returned
 // stats aggregate the nodes' — Bytes/Chunks/DupChunks are exact sums;
 // Store sums the per-node store totals into a cluster-wide view.
 //
@@ -353,19 +292,15 @@ func (st *Stream) Abort() {
 // half-committed stream does not pin chunks forever; without its
 // manifest it was never restorable anyway.
 func (st *Stream) Commit() (*ingest.StreamStats, error) {
-	for _, n := range st.nodes {
-		_ = st.flushNode(n) // node failures re-surface from the commit fan-out below
-	}
-	st.stopWorkers()
 	if len(st.bodyOwners) != 0 {
 		err := fmt.Errorf("cluster: commit with %d bodies still owed", len(st.bodyOwners))
 		st.Abort()
 		return nil, err
 	}
 	for _, n := range st.nodes {
-		if err := n.failed(); err != nil {
+		if n.err != nil {
 			st.Abort()
-			return nil, err
+			return nil, n.err
 		}
 	}
 
@@ -377,7 +312,7 @@ func (st *Stream) Commit() (*ingest.StreamStats, error) {
 			continue
 		}
 		wg.Add(1)
-		go func(n *streamNode) {
+		go func() {
 			defer wg.Done()
 			cs := st.sp.Child("node_commit", obs.Str("node", st.c.ring.Node(n.idx).ID))
 			stats, err := n.sess.CommitDedup()
@@ -387,14 +322,14 @@ func (st *Stream) Commit() (*ingest.StreamStats, error) {
 				return
 			}
 			n.stats = stats
-		}(n)
+		}()
 	}
 	wg.Wait()
 	for _, n := range st.nodes {
-		if err := n.failed(); err != nil {
+		if n.err != nil {
 			st.undoCommitted()
 			st.Abort()
-			return nil, err
+			return nil, n.err
 		}
 	}
 

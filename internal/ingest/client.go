@@ -27,6 +27,14 @@ import (
 // NegotiateDedup upgrades it to version 3, after which BackupDedup
 // runs the negotiated engine locally and ships only fingerprints plus
 // missing chunk bodies.
+//
+// A caller that cuts streams itself — a router fanning chunks out to
+// their owner nodes — drives the dedup protocol's steps directly:
+// BeginDedup opens a stream, HasBatch asks which of a batch's chunks the
+// server lacks, WriteBody queues each owed body, and CommitDedup ends the
+// stream. DedupRound is a round with the bodies in hand — HasBatch, then
+// the owed bodies behind one flush — which is what BackupDedup runs for
+// every batch its pipeline cuts.
 type Session struct {
 	conn      net.Conn
 	br        *bufio.Reader
@@ -57,9 +65,9 @@ type Session struct {
 	// cuts large streams on many cores with byte-identical output.
 	chunkWorkers int
 
-	// segs holds the read buffers BackupDedup's pipeline cuts streams
-	// from, kept across streams (nil until the first one).
-	segs *segmentPool
+	// feed runs BackupDedup's streams, keeping their segment buffers from
+	// one stream to the next.
+	feed Feeder
 }
 
 // ErrDedupUnsupported reports a BackupDedup call on a session that has
@@ -296,7 +304,7 @@ func (s *Session) Backup(name string, r io.Reader) (*StreamStats, error) {
 	buf := s.buf[:s.frameSize]
 	var logical int64
 	for {
-		n, err := io.ReadFull(r, buf)
+		n, err := readFull(r, buf)
 		if n > 0 {
 			logical += int64(n)
 			if werr := writeFrame(s.bw, MsgData, buf[:n]); werr != nil {
@@ -308,7 +316,7 @@ func (s *Session) Backup(name string, r io.Reader) (*StreamStats, error) {
 				return nil, s.surfaceRemote("backup", name, ferr)
 			}
 		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+		if err == io.EOF {
 			break
 		}
 		if err != nil {
@@ -337,10 +345,10 @@ func (s *Session) Backup(name string, r io.Reader) (*StreamStats, error) {
 
 // BeginDedup opens a two-phase dedup stream under name on a version
 // ≥ 3 session, without chunking anything locally: the caller drives
-// the rounds itself with HasBatch/SendBodies (or DedupRound) and ends
-// the stream with CommitDedup. This is the routing-layer surface — a
-// router that already holds chunked pieces fans them out to owner
-// nodes through these calls. parent, when valid on a v4 session, rides
+// the rounds itself — HasBatch and a WriteBody per owed body, or
+// DedupRound — and ends the stream with CommitDedup. This is the
+// routing-layer surface — a router that already holds chunked pieces
+// fans them out to owner nodes through these calls. parent, when valid on a v4 session, rides
 // the BeginDedup frame so the server's span parents under the caller's
 // (BackupDedup passes its own root; a router passes the span of the
 // client operation it is serving). Plain clients should keep using
@@ -358,7 +366,7 @@ func (s *Session) BeginDedup(name string, parent obs.SpanContext) error {
 // ascending indices into hs it has no chunk for — comes back. Every
 // index the server does NOT return is pinned server-side under the
 // stream. The caller must follow with exactly one body per returned
-// index, in order (SendBodies), before the next HasBatch or
+// index, in order (WriteBody), before the next HasBatch or
 // CommitDedup.
 func (s *Session) HasBatch(hs []dedup.Hash) ([]int, error) {
 	if err := writeFrame(s.bw, MsgHasBatch, encodeHasBatch(hs)); err != nil {
@@ -382,20 +390,6 @@ func (s *Session) HasBatch(hs []dedup.Hash) ([]int, error) {
 	}
 }
 
-// SendBodies uploads chunk bodies answering the last HasBatch round's
-// missing set, one Data frame per body in the server's index order.
-func (s *Session) SendBodies(bodies ...[]byte) error {
-	for _, b := range bodies {
-		if err := writeFrame(s.bw, MsgData, b); err != nil {
-			return s.surfaceRemote("dedup backup", s.streamName, err)
-		}
-	}
-	if err := s.bw.Flush(); err != nil {
-		return s.surfaceRemote("dedup backup", s.streamName, err)
-	}
-	return nil
-}
-
 // WriteBody queues one chunk body as a Data frame without flushing; the
 // session's next HasBatch or CommitDedup flushes it ahead of its own
 // frame. A router forwarding a round's bodies one at a time as they
@@ -408,25 +402,12 @@ func (s *Session) WriteBody(b []byte) error {
 	return nil
 }
 
-// DedupRound is one complete round against bodies held locally:
-// HasBatch(hs), then the bodies the server asked for. bodies[i] must
+// DedupRound is one round with the bodies held locally: HasBatch(hs),
+// then the bodies the server asked for behind one flush. bodies[i] must
 // be the chunk hashing to hs[i]. Returns the missing set the server
 // answered (the bodies that actually crossed).
 func (s *Session) DedupRound(hs []dedup.Hash, bodies [][]byte) ([]int, error) {
-	missing, err := s.HasBatch(hs)
-	if err != nil {
-		return nil, err
-	}
-	if len(missing) > 0 {
-		send := make([][]byte, 0, len(missing))
-		for _, i := range missing {
-			send = append(send, bodies[i])
-		}
-		if err := s.SendBodies(send...); err != nil {
-			return nil, err
-		}
-	}
-	return missing, nil
+	return s.dedupRound(nil, hs, bodies)
 }
 
 // CommitDedup ends a dedup stream opened with BeginDedup: the server
@@ -483,60 +464,52 @@ func (s *Session) BackupDedup(name string, r io.Reader) (*StreamStats, error) {
 	if err := s.BeginDedup(name, sp.Context()); err != nil {
 		return nil, err
 	}
-	if s.segs == nil {
-		s.segs = newSegmentPool(pipelineDepth + 2)
-	}
-	p := startChunkPipeline(r, s.eng, s.segs)
-	defer p.stop()
-	// This goroutine's time is either spent on the wire or idle, waiting
-	// for the pipeline to have a round ready.
-	start := time.Now()
-	var idle time.Duration
-	for {
-		t0 := time.Now()
-		b, err := p.next()
-		idle += time.Since(t0)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		err = s.dedupRound(sp, b)
-		b.release()
-		if err != nil {
-			return nil, err
-		}
+	ft, err := s.feed.Feed(rounds{s, sp}, s.eng, r)
+	if err != nil {
+		return nil, err
 	}
 	c := sp.Child("commit")
+	t0 := time.Now()
 	st, err := s.CommitDedup()
+	wire := ft.Store + time.Since(t0) // the rounds and the commit
 	c.End()
 	if err != nil {
 		return nil, err
 	}
 	if sp != nil {
-		wire := time.Since(start) - idle
-		pt := p.stop()
 		sp.Set(obs.Int("bytes", st.Bytes), obs.Int("chunks", st.Chunks),
 			obs.Int("wire_bytes", st.Wire.WireBytes),
 			obs.Int("chunks_skipped", st.Wire.ChunksSkipped),
-			obs.Float("scan_s", pt.scan.Seconds()),
-			obs.Float("hash_s", pt.hash.Seconds()),
+			obs.Float("scan_s", ft.Scan.Seconds()),
+			obs.Float("hash_s", ft.Hash.Seconds()),
 			obs.Float("wire_s", wire.Seconds()),
-			obs.Float("wire_idle_s", idle.Seconds()),
-			obs.Float("producer_stall_s", pt.stall.Seconds()))
+			obs.Float("wire_idle_s", ft.Idle.Seconds()),
+			obs.Float("producer_stall_s", ft.Stall.Seconds()))
 	}
 	return st, nil
 }
 
-// dedupRound runs one fingerprint round for a hashed batch: HasBatch,
-// then the bodies the server asked for, sent from the batch's views.
-func (s *Session) dedupRound(sp *obs.Span, b *chunkBatch) error {
-	hb := sp.Child("has_batch", obs.Int("chunks", int64(len(b.hashes))))
-	missing, err := s.HasBatch(b.hashes)
+// rounds runs each batch BackupDedup's pipeline cuts as one round, under
+// the stream's span.
+type rounds struct {
+	s  *Session
+	sp *obs.Span
+}
+
+func (r rounds) Add(hs []dedup.Hash, bodies [][]byte) error {
+	_, err := r.s.dedupRound(r.sp, hs, bodies)
+	return err
+}
+
+// dedupRound is a round with the bodies in hand: HasBatch, then the
+// bodies the server asked for, written out of bodies behind one flush. sp
+// gets the round's has_batch and upload spans.
+func (s *Session) dedupRound(sp *obs.Span, hs []dedup.Hash, bodies [][]byte) ([]int, error) {
+	hb := sp.Child("has_batch", obs.Int("chunks", int64(len(hs))))
+	missing, err := s.HasBatch(hs)
 	if err != nil {
 		hb.End()
-		return err
+		return nil, err
 	}
 	hb.Set(obs.Int("missing", int64(len(missing))))
 	hb.End()
@@ -544,16 +517,16 @@ func (s *Session) dedupRound(sp *obs.Span, b *chunkBatch) error {
 	defer up.End()
 	var upBytes int64
 	for _, i := range missing {
-		if err := s.WriteBody(b.bodies[i]); err != nil {
-			return err
+		if err := s.WriteBody(bodies[i]); err != nil {
+			return nil, err
 		}
-		upBytes += int64(len(b.bodies[i]))
+		upBytes += int64(len(bodies[i]))
 	}
 	if err := s.bw.Flush(); err != nil {
-		return s.surfaceRemote("dedup backup", s.streamName, err)
+		return nil, s.surfaceRemote("dedup backup", s.streamName, err)
 	}
 	up.Set(obs.Int("bytes", upBytes))
-	return nil
+	return missing, nil
 }
 
 // BackupBytes is Backup over an in-memory image.

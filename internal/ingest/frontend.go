@@ -48,7 +48,10 @@ type Stream interface {
 	// Add stores the next chunks of a raw stream, in stream order:
 	// bodies[i] hashes to hs[i]. Both slices and every body are only
 	// valid for the call — the bodies are views into buffers the caller
-	// reuses — so a back end that keeps one past the call copies it.
+	// reuses — so a back end that keeps one past the call copies it. A
+	// remote back end's Add is a round with the bodies in hand: the
+	// fingerprints go out, and the bodies the far end lacks follow before
+	// Add returns.
 	Add(hs []dedup.Hash, bodies [][]byte) error
 	// RoundHas opens a dedup round over hs (the stream's to keep), the
 	// next fingerprints in stream order: it takes a reference on every
@@ -477,36 +480,43 @@ func (s *session) backup(name string, sp *obs.Span) error {
 	return s.ack(name, stats, sp)
 }
 
-// Feeder runs raw streams into a back end: one stream at a time through
-// the chunking pipeline (see chunkPipeline), every batch handed to the
-// stream's Add with its bodies as views into the pipeline's pooled
-// segments. It is the one place serving code cuts a stream — the wire
-// front end feeds its sessions' raw backups through it and the cluster
-// its locally chunked ones. The zero value is ready to use. A Feeder
-// keeps at most pipelineDepth+2 segment buffers, allocated as streams
-// come to need them: one, for streams that each fit a segment.
+// Adder takes a stream's chunks in stream order, a batch at a time:
+// bodies[i] hashes to hs[i], and both slices and every body are only
+// valid for the call. A back end's Stream is one; the dedup client's
+// rounds are another.
+type Adder interface {
+	Add(hs []dedup.Hash, bodies [][]byte) error
+}
+
+// Feeder runs streams through the chunking pipeline (see chunkPipeline),
+// one at a time, handing every batch to an Adder with its bodies as views
+// into the pipeline's pooled segments. It is the one place a stream is
+// cut: the wire front end feeds its sessions' raw backups through it, the
+// cluster its locally chunked ones, and the dedup client its rounds. The
+// zero value is ready to use. A Feeder keeps at most pipelineDepth+2
+// segment buffers, allocated as streams come to need them: one, for
+// streams that each fit a segment.
 type Feeder struct {
 	segs *segmentPool
 }
 
 // FeedTimes is where one Feed's time went: the pipeline's stages, and
-// the feeding goroutine's own split between the back end and waiting
-// for the pipeline.
+// the feeding goroutine's own split between the Adder and waiting for
+// the pipeline.
 type FeedTimes struct {
 	Scan  time.Duration // reading r and cutting it
 	Hash  time.Duration // fingerprinting, summed over the workers
 	Stall time.Duration // the scanning goroutine waiting for a free segment or queue slot
-	Store time.Duration // inside st.Add
+	Store time.Duration // inside Add
 	Idle  time.Duration // waiting for the next batch
 }
 
-// Feed cuts r with eng and adds every chunk to st, in stream order. It
-// neither commits nor aborts st. An error of r's other than io.EOF, or
-// st's first, ends the feed and is returned as it is; Feed returns only
-// after its goroutines have exited, which includes waiting out a Read on
-// r that is in flight. A stream that ends inside its first segment
-// starts no goroutine at all.
-func (f *Feeder) Feed(st Stream, eng chunk.Engine, r io.Reader) (FeedTimes, error) {
+// Feed cuts r with eng and hands every batch to a.Add, in stream order.
+// An error of r's other than io.EOF, or Add's first, ends the feed and is
+// returned as it is; Feed returns only after its goroutines have exited,
+// which includes waiting out a Read on r that is in flight. A stream that
+// ends inside its first segment starts no goroutine at all.
+func (f *Feeder) Feed(a Adder, eng chunk.Engine, r io.Reader) (FeedTimes, error) {
 	if f.segs == nil {
 		f.segs = newSegmentPool(pipelineDepth + 2)
 	}
@@ -521,7 +531,7 @@ func (f *Feeder) Feed(st Stream, eng chunk.Engine, r io.Reader) (FeedTimes, erro
 		}
 		t1 := time.Now()
 		ft.Idle += t1.Sub(t0)
-		err = st.Add(b.hashes, b.bodies)
+		err = a.Add(b.hashes, b.bodies)
 		b.release()
 		t0 = time.Now()
 		ft.Store += t0.Sub(t1)

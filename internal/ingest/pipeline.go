@@ -21,9 +21,10 @@ import (
 // copy of the stream the pipeline holds — and a segment goes back to
 // its pool when the last batch holding a view into it is released.
 //
-// Nothing here knows about sessions or frames: the consumer decides
-// what a batch is for. The dedup client turns one into a HasBatch
-// round; the serving side (Feeder) turns one into a put.
+// Nothing here knows about sessions or frames. The one consumer, Feeder,
+// hands each batch to an Adder, which decides what a batch is for: a put
+// on the server's raw path, a round on every owner in a cluster, a round
+// with the bodies in hand on the dedup client.
 
 const (
 	// batchChunks and batchBytes close a batch: at this many chunks, or

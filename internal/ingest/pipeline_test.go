@@ -173,7 +173,7 @@ func runDedupClient(t *testing.T, spec chunk.Spec, workers int, preload, data []
 		st, err = c.backupDedupSequential("s", bytes.NewReader(data))
 	} else {
 		st, err = c.BackupDedup("s", wrap(bytes.NewReader(data)))
-		quiesced(t, before, c.segs)
+		quiesced(t, before, c.feed.segs)
 	}
 	if err != nil {
 		t.Fatalf("sequential=%v: %v", sequential, err)
@@ -392,7 +392,7 @@ func TestBackupDedupFailures(t *testing.T) {
 				} else {
 					before := runtime.NumGoroutine()
 					_, err = c.BackupDedup("doomed", src)
-					quiesced(t, before, c.segs)
+					quiesced(t, before, c.feed.segs)
 				}
 				if err != tc.err {
 					t.Fatalf("sequential=%v: failing source = %v, want the reader's own %v", sequential, err, tc.err)
@@ -439,7 +439,7 @@ func TestBackupDedupFailures(t *testing.T) {
 		if !errors.As(err, &re) || !strings.Contains(re.Msg, "disk full") {
 			t.Fatalf("store failure = %v, want RemoteError carrying the fault", err)
 		}
-		quiesced(t, before, c.segs)
+		quiesced(t, before, c.feed.segs)
 		if _, err := c.BackupDedupBytes("again", data[:64<<10]); err == nil {
 			t.Fatal("session still usable after the server failed the stream")
 		}
@@ -473,7 +473,7 @@ func TestBackupDedupFailures(t *testing.T) {
 		if !errors.Is(err, io.ErrClosedPipe) && !errors.Is(err, io.EOF) {
 			t.Fatalf("peer closing mid-round = %v, want the transport's own error", err)
 		}
-		quiesced(t, before, c.segs)
+		quiesced(t, before, c.feed.segs)
 	})
 
 	t.Run("remote-error-in-need-batch-slot", func(t *testing.T) {
@@ -498,7 +498,7 @@ func TestBackupDedupFailures(t *testing.T) {
 		if !errors.As(err, &re) || re.Msg != "shard 3: disk full" || re.Name != "refused" {
 			t.Fatalf("error frame in a NeedBatch slot = %v, want the server's RemoteError", err)
 		}
-		quiesced(t, before, c.segs)
+		quiesced(t, before, c.feed.segs)
 	})
 }
 

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 
 	"shredder/internal/chunk"
 	"shredder/internal/shardstore"
@@ -379,5 +381,73 @@ func TestDefaultChunkingIsThePinnedSpec(t *testing.T) {
 	}
 	if got := DefaultConfig().Shredder.Chunking; got != want {
 		t.Fatalf("DefaultConfig() chunks with %+v, the golden vectors pin %+v", got, want)
+	}
+}
+
+// TestBackupSourceErrorIsNotAcked: a source that fails fails the raw
+// backup, even when its error is io.ErrUnexpectedEOF — what a cut-off
+// gzip or tar reader or HTTP body reports. The client sends no End frame,
+// so nothing is committed under the name, and once the session closes the
+// server gives back every reference the partial stream took.
+func TestBackupSourceErrorIsNotAcked(t *testing.T) {
+	srv, err := NewServer(testConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := chunk.FastCDCSpec(4 << 10)
+	base := workload.Random(81, 256<<10)
+	c := startSession(t, srv)
+	if _, err := c.Negotiate(spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.BackupBytes("base", base); err != nil {
+		t.Fatal(err)
+	}
+	// The cut-off stream repeats the base's first 64 KiB and goes on with
+	// fresh bytes: it pins chunks the store holds and inserts new ones.
+	cut := append(append([]byte(nil), base[:64<<10]...), workload.Random(82, 36<<10)...)
+	eng, err := chunk.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := srv.Store().Stats()
+	refs := make(map[shardstore.Hash]int64)
+	for _, data := range [][]byte{base, cut} {
+		for _, ck := range eng.Split(data) {
+			h := sha256.Sum256(data[ck.Offset:ck.End()])
+			refs[h] = srv.Store().Refcount(h)
+		}
+	}
+
+	cend, send := net.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		defer send.Close()
+		served <- srv.ServeConn(send)
+	}()
+	c2 := NewSession(cend)
+	if _, err := c2.Negotiate(spec); err != nil {
+		t.Fatal(err)
+	}
+	src := io.MultiReader(bytes.NewReader(cut), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if st, err := c2.Backup("cut", src); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Backup of a failing source = %+v, %v; want the source's error", st, err)
+	}
+	c2.Close()
+	if err := <-served; err == nil {
+		t.Fatal("server session ended cleanly on a stream with no End frame")
+	}
+	for _, name := range srv.Store().RecipeNames() {
+		if name == "cut" {
+			t.Fatal("the failed stream was committed")
+		}
+	}
+	for h, want := range refs {
+		if got := srv.Store().Refcount(h); got != want {
+			t.Fatalf("chunk %x: refcount %d after the failed stream, want %d", h[:8], got, want)
+		}
+	}
+	if after := srv.Store().Stats(); after != before {
+		t.Fatalf("store stats moved: %+v before the failed stream, %+v after", before, after)
 	}
 }

@@ -1,14 +1,19 @@
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"os/signal"
 	"sync/atomic"
+	"syscall"
+	"time"
 )
 
 // Admin is the operator-facing HTTP surface of a daemon:
@@ -149,4 +154,53 @@ func NewLogger(level string, json, quiet bool) (*slog.Logger, error) {
 		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
 	}
 	return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+}
+
+// NewDaemonTracer is a daemon's tracer: recent traces always, and with
+// slow > 0 every operation at or over slow retained and its span tree
+// logged as a warning.
+func NewDaemonTracer(slow time.Duration, logger *slog.Logger) *Tracer {
+	return NewTracer(TracerConfig{
+		SlowThreshold: slow,
+		OnSlow: func(root *Span) {
+			logger.Warn("slow operation", "name", root.Name(),
+				"dur", root.Duration().Round(time.Microsecond).String(),
+				"trace", root.Trace().String(), "tree", "\n"+root.TraceData().Tree())
+		},
+	})
+}
+
+// Serve listens on addr (a daemon's -admin; empty: no endpoint) and
+// serves the admin surface there until stop is called. A serve failure
+// after the listen is logged.
+func (a *Admin) Serve(addr string, logger *slog.Logger) (stop func(), err error) {
+	if addr == "" {
+		return func() {}, nil
+	}
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := &http.Server{Handler: a}
+	go func() {
+		if err := srv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			logger.Error("admin server failed", "err", err)
+		}
+	}()
+	logger.Info("admin endpoint up", "addr", l.Addr().String())
+	return func() { _ = srv.Close() }, nil
+}
+
+// DrainOnSignal starts a daemon's drain at the first SIGINT or SIGTERM:
+// the signal is logged, /readyz turns 503 and l is closed, which ends the
+// daemon's accept loop.
+func (a *Admin) DrainOnSignal(l io.Closer, logger *slog.Logger) {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		s := <-sig
+		logger.Info("draining sessions", "signal", s.String())
+		a.SetDraining(true)
+		_ = l.Close()
+	}()
 }

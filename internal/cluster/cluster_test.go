@@ -264,13 +264,15 @@ func TestClusterDifferentialThreeNodes(t *testing.T) {
 	}
 }
 
-// TestClusterKillNodeMidStream pins chunks on all three nodes through
-// half a stream, kills one owner, feeds the other half, and asserts the
-// stream fails with a typed *NodeError naming the killed node — from the
-// feed or from Commit — while the survivors release every pin: the
-// cluster-level version of TestAbortedDedupStreamReleasesPins. It runs
-// once for each way a stream is fed: a dedup client's RoundHas/RoundBody,
-// and Add.
+// TestClusterKillNodeMidStream pins chunks on all three nodes, kills one
+// owner, and asserts the stream fails with a typed *NodeError naming the
+// killed node while the survivors release every pin: the cluster-level
+// version of TestAbortedDedupStreamReleasesPins. It runs for each way a
+// stream is fed — a dedup client's RoundHas/RoundBody, and Add — and for
+// two moments of the kill. "commit" kills once the whole stream is fed:
+// only the victim's commit fails, so Commit must delete the sub-streams
+// the survivors committed. "feed" kills halfway through: the error comes
+// from the feed (or from Commit, should the victim own none of the rest).
 func TestClusterKillNodeMidStream(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -290,11 +292,12 @@ func TestClusterKillNodeMidStream(t *testing.T) {
 		}},
 		{"add", (*Stream).Add},
 	} {
-		t.Run(tc.name, func(t *testing.T) { killNodeMidStream(t, tc.feed) })
+		t.Run(tc.name+"/commit", func(t *testing.T) { killNodeMidStream(t, tc.feed, false) })
+		t.Run(tc.name+"/feed", func(t *testing.T) { killNodeMidStream(t, tc.feed, true) })
 	}
 }
 
-func killNodeMidStream(t *testing.T, feed func(st *Stream, hs []dedup.Hash, bodies [][]byte) error) {
+func killNodeMidStream(t *testing.T, feed func(st *Stream, hs []dedup.Hash, bodies [][]byte) error, midFeed bool) {
 	spec := chunk.FastCDCSpec(4 << 10)
 	tc := startNodes(t, 3)
 	c := newTestCluster(t, tc, spec)
@@ -333,15 +336,21 @@ func killNodeMidStream(t *testing.T, feed func(st *Stream, hs []dedup.Hash, bodi
 	if err != nil {
 		t.Fatal(err)
 	}
+	fed := len(hs)
+	if midFeed {
+		fed = half
+	}
 	// Both feeds are synchronous: when one returns, every owner has
 	// answered its share and is pinning the stream's chunks.
-	if err := feed(st, hs[:half], bodies[:half]); err != nil {
+	if err := feed(st, hs[:fed], bodies[:fed]); err != nil {
 		t.Fatal(err)
 	}
 	victim := c.Ring().Owner(hs[0])
 	tc.kill(victim)
 
-	err = feed(st, hs[half:], bodies[half:])
+	if midFeed {
+		err = feed(st, hs[fed:], bodies[fed:])
+	}
 	if err == nil {
 		_, err = st.Commit()
 	}
@@ -369,9 +378,48 @@ func killNodeMidStream(t *testing.T, feed func(st *Stream, hs []dedup.Hash, bodi
 		}
 		return true
 	})
-	// And the failed stream must not have become restorable.
+	// And the failed stream must not have become restorable, nor stayed
+	// committed on any node.
 	if _, err := rs.RestoreBytes("victim"); err == nil {
 		t.Fatal("half-committed stream restored cleanly")
+	}
+	for i, srv := range tc.srvs {
+		for _, name := range srv.Store().RecipeNames() {
+			if name == "victim" {
+				t.Fatalf("node %d still holds the failed stream's sub-stream", i)
+			}
+		}
+	}
+}
+
+// TestClusterRoundHasAfterAdd: a stream fed by Add refuses a fingerprint
+// round, so it carries on, commits and restores as the raw backup it
+// began as.
+func TestClusterRoundHasAfterAdd(t *testing.T) {
+	spec := chunk.FastCDCSpec(4 << 10)
+	tc := startNodes(t, 3)
+	c := newTestCluster(t, tc, spec)
+	data := workload.Random(10, 256<<10)
+	hs, bodies := chunksOf(t, spec, data)
+	half := len(hs) / 2
+	st, err := c.NewStream("mixed", obs.SpanContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Add(hs[:half], bodies[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.RoundHas(hs[half:]); err == nil {
+		t.Fatal("RoundHas on a stream fed by Add was accepted")
+	}
+	if err := st.Add(hs[half:], bodies[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.NewSession().Verify("mixed", data); err != nil {
+		t.Fatal(err)
 	}
 }
 

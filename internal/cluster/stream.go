@@ -43,7 +43,8 @@ func (n *streamNode) fail(err error) {
 //
 // Every round goes through one fan-out (fanOut): the batch splits by
 // owner, and each owner's share runs concurrently on its own sub-stream,
-// so a slow node overlaps with its siblings. Two ways to feed a stream
+// so a round lasts as long as its slowest owner's share, not the sum of
+// the shares. Two ways to feed a stream
 // share it and the commit machinery:
 //
 //   - Add, for callers holding chunk bodies (RoutedSession.Backup, the
@@ -213,12 +214,16 @@ func hasBatch(s *ingest.Session, hs []dedup.Hash, _ [][]byte) ([]int, error) {
 // shares of the batch concurrently, and the merged result is the
 // ascending client batch indices the cluster is missing. The caller owes
 // exactly one RoundBody per returned index, in order, before the next
-// RoundHas, Add or Commit.
+// RoundHas, Add or Commit. A stream already fed by Add is refused, so the
+// op a stream reports under cannot change once it has chunks.
 func (st *Stream) RoundHas(hs []dedup.Hash) ([]int, error) {
-	st.op = "backup_dedup"
+	if st.op == "backup" && len(st.hashes) != 0 {
+		return nil, errors.New("cluster: fingerprint round on a stream fed by Add")
+	}
 	if len(st.bodyOwners) != 0 {
 		return nil, fmt.Errorf("cluster: new round with %d bodies still owed", len(st.bodyOwners))
 	}
+	st.op = "backup_dedup"
 	st.hashes = append(st.hashes, hs...)
 	shares, err := st.fanOut(hs, nil, hasBatch)
 	if err != nil {

@@ -299,25 +299,3 @@ func New(s Spec) (Engine, error) {
 		return nil, &UnknownAlgoError{Algo: s.Algo}
 	}
 }
-
-// SplitReader chunks everything from r using e, returning the chunks
-// and total bytes read. Chunk bytes are delivered through emit; pass
-// nil to collect boundaries only.
-func SplitReader(e Engine, r io.Reader, emit EmitFunc) ([]Chunk, int64, error) {
-	var chunks []Chunk
-	s := e.Stream(func(c Chunk, data []byte) error {
-		chunks = append(chunks, c)
-		if emit != nil {
-			return emit(c, data)
-		}
-		return nil
-	})
-	n, err := io.Copy(s, r)
-	if err != nil {
-		return chunks, n, err
-	}
-	if err := s.Close(); err != nil {
-		return chunks, n, err
-	}
-	return chunks, n, nil
-}

@@ -2,11 +2,8 @@ package chunk
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"testing"
-	"testing/iotest"
 
 	"shredder/internal/chunker"
 )
@@ -158,35 +155,6 @@ func TestEnginesDisagree(t *testing.T) {
 		}
 		if same {
 			t.Fatal("rabin and fastcdc cut identical boundaries; one is masquerading as the other")
-		}
-	}
-}
-
-// TestSplitReader drives the helper over both engines.
-func TestSplitReader(t *testing.T) {
-	data := randomData(23, 512<<10)
-	for name, spec := range testSpecs() {
-		e, err := New(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunks, n, err := SplitReader(e, bytes.NewReader(data), nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if n != int64(len(data)) {
-			t.Fatalf("%s: read %d bytes, want %d", name, n, len(data))
-		}
-		want := e.Split(data)
-		if len(chunks) != len(want) {
-			t.Fatalf("%s: %d chunks, want %d", name, len(chunks), len(want))
-		}
-		// A reader that dribbles, then fails: its error comes back as it
-		// is, with the count of the bytes it did deliver.
-		sentinel := errors.New("disk on fire")
-		r := io.MultiReader(iotest.OneByteReader(bytes.NewReader(data[:1000])), iotest.ErrReader(sentinel))
-		if _, n, err := SplitReader(e, r, nil); !errors.Is(err, sentinel) || n != 1000 {
-			t.Fatalf("%s: failing reader: %d bytes, %v; want 1000, %v", name, n, err, sentinel)
 		}
 	}
 }

@@ -264,257 +264,6 @@ func TestClusterDifferentialThreeNodes(t *testing.T) {
 	}
 }
 
-// TestClusterKillNodeMidStream pins chunks on all three nodes, kills one
-// owner, and asserts the stream fails with a typed *NodeError naming the
-// killed node while the survivors release every pin: the cluster-level
-// version of TestAbortedDedupStreamReleasesPins. It runs for each way a
-// stream is fed — a dedup client's RoundHas/RoundBody, and Add — and for
-// two moments of the kill. "commit" kills once the whole stream is fed:
-// only the victim's commit fails, so Commit must delete the sub-streams
-// the survivors committed. "feed" kills halfway through: the error comes
-// from the feed (or from Commit, should the victim own none of the rest).
-func TestClusterKillNodeMidStream(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		feed func(st *Stream, hs []dedup.Hash, bodies [][]byte) error
-	}{
-		{"rounds", func(st *Stream, hs []dedup.Hash, bodies [][]byte) error {
-			missing, err := st.RoundHas(hs)
-			if err != nil {
-				return err
-			}
-			for _, idx := range missing {
-				if err := st.RoundBody(bodies[idx]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"add", (*Stream).Add},
-	} {
-		t.Run(tc.name+"/commit", func(t *testing.T) { killNodeMidStream(t, tc.feed, false) })
-		t.Run(tc.name+"/feed", func(t *testing.T) { killNodeMidStream(t, tc.feed, true) })
-	}
-}
-
-func killNodeMidStream(t *testing.T, feed func(st *Stream, hs []dedup.Hash, bodies [][]byte) error, midFeed bool) {
-	spec := chunk.FastCDCSpec(4 << 10)
-	tc := startNodes(t, 3)
-	c := newTestCluster(t, tc, spec)
-	rs := c.NewSession()
-
-	// A committed baseline stream (distinct name) that must survive the
-	// failed stream's cleanup untouched.
-	base := workload.Random(5, 512<<10)
-	if _, err := rs.BackupBytes("baseline", base); err != nil {
-		t.Fatal(err)
-	}
-	baseline := make([]map[dedup.Hash]int64, len(tc.srvs))
-	baseHs, _ := chunksOf(t, spec, base)
-
-	data := workload.Random(6, 512<<10)
-	hs, bodies := chunksOf(t, spec, data)
-	for i := range tc.srvs {
-		baseline[i] = make(map[dedup.Hash]int64)
-		for _, h := range append(append([]dedup.Hash(nil), baseHs...), hs...) {
-			baseline[i][h] = tc.srvs[i].Store().Refcount(h)
-		}
-	}
-
-	// Every node must own part of the first half, or killing one proves
-	// nothing about the others.
-	half := len(hs) / 2
-	owners := make(map[int]bool)
-	for _, h := range hs[:half] {
-		owners[c.Ring().Owner(h)] = true
-	}
-	if len(owners) != len(tc.srvs) {
-		t.Fatalf("stream only spans nodes %v — enlarge the workload", owners)
-	}
-
-	st, err := c.NewStream("victim", obs.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := len(hs)
-	if midFeed {
-		fed = half
-	}
-	// Both feeds are synchronous: when one returns, every owner has
-	// answered its share and is pinning the stream's chunks.
-	if err := feed(st, hs[:fed], bodies[:fed]); err != nil {
-		t.Fatal(err)
-	}
-	victim := c.Ring().Owner(hs[0])
-	tc.kill(victim)
-
-	if midFeed {
-		err = feed(st, hs[fed:], bodies[fed:])
-	}
-	if err == nil {
-		_, err = st.Commit()
-	}
-	var ne *NodeError
-	if !errors.As(err, &ne) {
-		t.Fatalf("stream against a dead node ended with %v, want *NodeError", err)
-	}
-	if ne.Node != tc.topo.Nodes[victim].ID {
-		t.Fatalf("NodeError names %q, want the killed node %q", ne.Node, tc.topo.Nodes[victim].ID)
-	}
-	st.Abort() // idempotent after a failed Commit
-
-	// No leaked pins on the survivors: every refcount returns to its
-	// pre-stream value once the aborted sessions unwind.
-	waitFor(t, "survivors to release pins", func() bool {
-		for i, srv := range tc.srvs {
-			if i == victim {
-				continue
-			}
-			for h, want := range baseline[i] {
-				if srv.Store().Refcount(h) != want {
-					return false
-				}
-			}
-		}
-		return true
-	})
-	// And the failed stream must not have become restorable, nor stayed
-	// committed on any node.
-	if _, err := rs.RestoreBytes("victim"); err == nil {
-		t.Fatal("half-committed stream restored cleanly")
-	}
-	for i, srv := range tc.srvs {
-		for _, name := range srv.Store().RecipeNames() {
-			if name == "victim" {
-				t.Fatalf("node %d still holds the failed stream's sub-stream", i)
-			}
-		}
-	}
-}
-
-// TestClusterRoundHasAfterAdd: a stream fed by Add refuses a fingerprint
-// round, so it carries on, commits and restores as the raw backup it
-// began as.
-func TestClusterRoundHasAfterAdd(t *testing.T) {
-	spec := chunk.FastCDCSpec(4 << 10)
-	tc := startNodes(t, 3)
-	c := newTestCluster(t, tc, spec)
-	data := workload.Random(10, 256<<10)
-	hs, bodies := chunksOf(t, spec, data)
-	half := len(hs) / 2
-	st, err := c.NewStream("mixed", obs.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(hs[:half], bodies[:half]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.RoundHas(hs[half:]); err == nil {
-		t.Fatal("RoundHas on a stream fed by Add was accepted")
-	}
-	if err := st.Add(hs[half:], bodies[half:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.NewSession().Verify("mixed", data); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestClusterAddReachesOwnersBeforeCommit: Add is a round on every owner,
-// not a queue. When it returns, each owner has pinned the chunks it
-// already held — inside its answer, so the refcounts show at once — and
-// has been sent the bodies it lacked, which it stores before it answers
-// anything else; both are on the node stores before Commit.
-func TestClusterAddReachesOwnersBeforeCommit(t *testing.T) {
-	spec := chunk.FastCDCSpec(4 << 10)
-	tc := startNodes(t, 3)
-	c := newTestCluster(t, tc, spec)
-	base := workload.Random(7, 256<<10)
-	if _, err := c.NewSession().BackupBytes("base", base); err != nil {
-		t.Fatal(err)
-	}
-	data := append(append([]byte(nil), base...), workload.Random(8, 256<<10)...)
-	hs, bodies := chunksOf(t, spec, data)
-	baseHs, _ := chunksOf(t, spec, base)
-	held := make(map[dedup.Hash]bool)
-	for _, h := range baseHs {
-		held[h] = true
-	}
-
-	st, err := c.NewStream("both", obs.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(hs, bodies); err != nil {
-		t.Fatal(err)
-	}
-	refcount := func(h dedup.Hash) int64 { return tc.srvs[c.Ring().Owner(h)].Store().Refcount(h) }
-	fresh := 0
-	for _, h := range hs {
-		if !held[h] {
-			fresh++
-		} else if rc := refcount(h); rc != 2 {
-			t.Fatalf("held chunk %x: refcount %d when Add returned, want 2", h[:8], rc)
-		}
-	}
-	if fresh == 0 {
-		t.Fatal("no fresh chunk — body uploads are not exercised")
-	}
-	waitFor(t, "owners to store the fresh chunks", func() bool {
-		for _, h := range hs {
-			if !held[h] && refcount(h) != 1 {
-				return false
-			}
-		}
-		return true
-	})
-	if _, err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.NewSession().Verify("both", data); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestClusterAddWithBodiesOwed: an Add between a RoundHas and the bodies
-// it asked for is refused before anything is sent, so the owed bodies and
-// the commit still go through and the stream restores as fed.
-func TestClusterAddWithBodiesOwed(t *testing.T) {
-	spec := chunk.FastCDCSpec(4 << 10)
-	tc := startNodes(t, 3)
-	c := newTestCluster(t, tc, spec)
-	data := workload.Random(9, 256<<10)
-	hs, bodies := chunksOf(t, spec, data)
-	st, err := c.NewStream("owed", obs.SpanContext{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	missing, err := st.RoundHas(hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(missing) == 0 {
-		t.Fatal("nothing missing — no body is owed")
-	}
-	if err := st.Add(hs, bodies); err == nil {
-		t.Fatal("Add with bodies still owed was accepted")
-	}
-	for _, idx := range missing {
-		if err := st.RoundBody(bodies[idx]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := st.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.NewSession().Verify("owed", data); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestClusterOverwriteCleansStaleSubStreams re-backs-up a name whose
 // chunks move to a different owner and asserts the old owner's
 // sub-stream is swept at commit, not left pinning dead chunks.

@@ -27,17 +27,22 @@ func (c *Cluster) NewSession() *RoutedSession { return &RoutedSession{c: c} }
 
 // Backup chunks r with the cluster's engine and backs it up under
 // name, fanning each chunk to its ring owner. The returned stats
-// aggregate the per-node sub-streams.
+// aggregate the per-node sub-streams. A stream that does not commit is
+// aborted here, a failed Commit included, as the front end does.
 func (rs *RoutedSession) Backup(name string, r io.Reader) (*ingest.StreamStats, error) {
 	st, err := rs.c.NewStream(name, obs.SpanContext{})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := rs.feed.Feed(st, rs.c.eng, r); err != nil {
+	var stats *ingest.StreamStats
+	if _, err = rs.feed.Feed(st, rs.c.eng, r); err == nil {
+		stats, err = st.Commit()
+	}
+	if err != nil {
 		st.Abort()
 		return nil, err
 	}
-	return st.Commit()
+	return stats, nil
 }
 
 // BackupBytes is Backup over an in-memory image.

@@ -44,8 +44,9 @@ func (n *streamNode) fail(err error) {
 // Every round goes through one fan-out (fanOut): the batch splits by
 // owner, and each owner's share runs concurrently on its own sub-stream,
 // so a round lasts as long as its slowest owner's share, not the sum of
-// the shares. Two ways to feed a stream
-// share it and the commit machinery:
+// the shares. Two ways to feed a stream share it and the commit
+// machinery; the first Add or RoundHas picks one for the stream's life,
+// as the ingest.Stream contract says:
 //
 //   - Add, for callers holding chunk bodies (RoutedSession.Backup, the
 //     router's raw-protocol clients): each owner runs a round with the
@@ -69,6 +70,9 @@ type Stream struct {
 	// bodyOwners routes the bodies owed after a RoundHas answer, in
 	// client batch-index order.
 	bodyOwners []*streamNode
+	// added is set by the first Add: together with op it is the stream's
+	// mode, fixed by its first Add or RoundHas.
+	added bool
 
 	ended bool
 }
@@ -194,12 +198,13 @@ func (st *Stream) fanOut(hs []dedup.Hash, bodies [][]byte,
 // the call, and they are written into each owner session's buffer and
 // flushed before Add returns, so nothing is copied. A non-nil error is
 // the first failed owner's *NodeError — the caller should stop feeding
-// and Abort (Commit would surface the same error). While a RoundHas
-// answer still owes bodies, Add is refused and sends nothing.
+// and Abort (Commit would surface the same error). A stream that has run
+// a round is refused, owed bodies or not, and nothing is sent.
 func (st *Stream) Add(hs []dedup.Hash, bodies [][]byte) error {
-	if len(st.bodyOwners) != 0 {
-		return fmt.Errorf("cluster: batch added with %d bodies still owed", len(st.bodyOwners))
+	if st.op == "backup_dedup" {
+		return errors.New("cluster: batch added to a stream fed by rounds")
 	}
+	st.added = true
 	st.hashes = append(st.hashes, hs...)
 	_, err := st.fanOut(hs, bodies, (*ingest.Session).DedupRound)
 	return err
@@ -214,10 +219,10 @@ func hasBatch(s *ingest.Session, hs []dedup.Hash, _ [][]byte) ([]int, error) {
 // shares of the batch concurrently, and the merged result is the
 // ascending client batch indices the cluster is missing. The caller owes
 // exactly one RoundBody per returned index, in order, before the next
-// RoundHas, Add or Commit. A stream already fed by Add is refused, so the
-// op a stream reports under cannot change once it has chunks.
+// RoundHas or Commit. A stream fed by Add is refused, and so is a round
+// while the last one still owes bodies; neither sends anything.
 func (st *Stream) RoundHas(hs []dedup.Hash) ([]int, error) {
-	if st.op == "backup" && len(st.hashes) != 0 {
+	if st.added {
 		return nil, errors.New("cluster: fingerprint round on a stream fed by Add")
 	}
 	if len(st.bodyOwners) != 0 {
@@ -268,8 +273,8 @@ func (st *Stream) RoundBody(body []byte) error {
 
 // Abort abandons the stream: every leased node session is discarded,
 // which the nodes observe as a dropped sub-stream and answer by
-// releasing the references the stream pinned. Idempotent; safe after a
-// failed Commit.
+// releasing the references the stream pinned. Idempotent; the caller
+// calls it after a failed Commit, which does not abort by itself.
 func (st *Stream) Abort() {
 	for _, n := range st.nodes {
 		if n.sess != nil {
@@ -291,20 +296,18 @@ func (st *Stream) Abort() {
 // stats aggregate the nodes' — Bytes/Chunks/DupChunks are exact sums;
 // Store sums the per-node store totals into a cluster-wide view.
 //
-// Failure semantics: any node failure before the commit point aborts
-// everything (nodes release their pins). A failure *during* the commit
-// fan-out best-effort deletes the sub-streams that did commit, so a
-// half-committed stream does not pin chunks forever; without its
-// manifest it was never restorable anyway.
+// Failure semantics: Commit does not abort; on any error the caller
+// calls Abort, which discards the node sessions so the nodes release
+// their pins. A failure *during* the commit fan-out first best-effort
+// deletes the sub-streams that did commit, so a half-committed stream
+// does not pin chunks forever; without its manifest it was never
+// restorable anyway.
 func (st *Stream) Commit() (*ingest.StreamStats, error) {
 	if len(st.bodyOwners) != 0 {
-		err := fmt.Errorf("cluster: commit with %d bodies still owed", len(st.bodyOwners))
-		st.Abort()
-		return nil, err
+		return nil, fmt.Errorf("cluster: commit with %d bodies still owed", len(st.bodyOwners))
 	}
 	for _, n := range st.nodes {
 		if n.err != nil {
-			st.Abort()
 			return nil, n.err
 		}
 	}
@@ -333,7 +336,6 @@ func (st *Stream) Commit() (*ingest.StreamStats, error) {
 	for _, n := range st.nodes {
 		if n.err != nil {
 			st.undoCommitted()
-			st.Abort()
 			return nil, n.err
 		}
 	}
@@ -371,7 +373,6 @@ func (st *Stream) Commit() (*ingest.StreamStats, error) {
 		var err error
 		if hsess, err = st.c.lease(home); err != nil {
 			st.undoCommitted()
-			st.Abort()
 			return nil, err
 		}
 		hn.sess = hsess // Abort/teardown now owns it
@@ -382,7 +383,6 @@ func (st *Stream) Commit() (*ingest.StreamStats, error) {
 	ms.End()
 	if err != nil {
 		st.undoCommitted()
-		st.Abort()
 		return nil, &NodeError{Node: st.c.ring.Node(home).ID, Op: "manifest", Err: err}
 	}
 	st.c.met.nodeTraffic(home, int64(len(mdata)), 0)

@@ -2,21 +2,17 @@ package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"shredder/internal/chunk"
 	"shredder/internal/dedup"
-	"shredder/internal/obs"
 	"shredder/internal/persist"
-	"shredder/internal/shardstore"
 	"shredder/internal/workload"
 )
 
@@ -559,183 +555,6 @@ func TestNegotiateDedupUnboundedSpecRejected(t *testing.T) {
 	}
 	if typ != MsgError || !strings.Contains(string(reply), "bounded") {
 		t.Fatalf("server reply %d %q", typ, reply)
-	}
-}
-
-// TestDedupBodyHashMismatchRejected: an uploaded body that does not
-// hash to its announced fingerprint must never enter the store — it
-// would be addressed by a fingerprint other streams dedup against.
-func TestDedupBodyHashMismatchRejected(t *testing.T) {
-	srv, err := NewServer(testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, br, errc := rawSession(t, srv)
-	spec := chunk.FastCDCSpec(4 << 10)
-	if err := writeFrame(conn, MsgHello, encodeHello(ProtocolVersion, spec)); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := readFrame(br, nil); err != nil || typ != MsgAccept {
-		t.Fatalf("hello reply %d, %v", typ, err)
-	}
-	if err := writeFrame(conn, MsgBeginDedup, encodeBeginDedup(ProtocolVersion, "evil", obs.SpanContext{})); err != nil {
-		t.Fatal(err)
-	}
-	honest := []byte("honest chunk body")
-	if err := writeFrame(conn, MsgHasBatch, encodeHasBatch([]dedup.Hash{dedup.Sum(honest)})); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(br, nil)
-	if err != nil || typ != MsgNeedBatch {
-		t.Fatalf("need reply %d, %v", typ, err)
-	}
-	if need, err := decodeNeedBatch(payload, 1); err != nil || len(need) != 1 {
-		t.Fatalf("need %v, %v", need, err)
-	}
-	if err := writeFrame(conn, MsgData, []byte("poisoned body")); err != nil {
-		t.Fatal(err)
-	}
-	// The server drains to the Commit turn (the client may still be
-	// writing) and delivers the rejection in its reply slot: later
-	// batches draw an empty NeedBatch and store nothing.
-	if err := writeFrame(conn, MsgHasBatch, encodeHasBatch([]dedup.Hash{dedup.Sum([]byte("later"))})); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err = readFrame(br, nil)
-	if err != nil || typ != MsgNeedBatch || len(payload) != 0 {
-		t.Fatalf("drain-mode need reply %d %q, %v", typ, payload, err)
-	}
-	if err := writeFrame(conn, MsgCommit, nil); err != nil {
-		t.Fatal(err)
-	}
-	typ, reply, err := readFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgError || !strings.Contains(string(reply), "fingerprint") {
-		t.Fatalf("reply %d %q", typ, reply)
-	}
-	conn.Close()
-	if serr := <-errc; serr == nil {
-		t.Fatal("server session survived a poisoned body")
-	}
-	// Neither the honest fingerprint nor the poisoned bytes made it in.
-	if _, ok := srv.Store().Has(dedup.Sum(honest)); ok {
-		t.Fatal("fingerprint present despite rejected body")
-	}
-	if st := srv.Store().Stats(); st.UniqueChunks != 0 {
-		t.Fatalf("store not empty after rejection: %+v", st)
-	}
-}
-
-// failingBacking injects an Append failure after a budget of
-// successful appends, simulating a store whose disk fills mid-stream.
-type failingBacking struct {
-	shardstore.Backing
-	remaining atomic.Int64
-}
-
-func (f *failingBacking) Shard(i int) shardstore.ShardBacking {
-	return &failingShard{ShardBacking: f.Backing.Shard(i), b: f}
-}
-
-type failingShard struct {
-	shardstore.ShardBacking
-	b *failingBacking
-}
-
-func (f *failingShard) Append(h shardstore.Hash, data []byte) (int, int64, error) {
-	if f.b.remaining.Add(-1) < 0 {
-		return 0, 0, errors.New("injected fault: disk full")
-	}
-	return f.ShardBacking.Append(h, data)
-}
-
-// TestDedupStoreFailureSurfacesWithoutDeadlock: a store failure while
-// the client is mid-upload must come back as the server's own text —
-// over an unbuffered net.Pipe, where a naive error reply would
-// deadlock against the client's remaining body writes (the reason the
-// handler drains to the Commit turn). No recipe may be committed.
-func TestDedupStoreFailureSurfacesWithoutDeadlock(t *testing.T) {
-	mb, err := shardstore.NewMemoryBacking(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := &failingBacking{Backing: mb}
-	fb.remaining.Store(300) // dies during the second 256-chunk round
-	store, err := shardstore.Open(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServerWithStore(testConfig(4), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := startSession(t, srv)
-	if _, err := c.NegotiateDedup(chunk.FastCDCSpec(4 << 10)); err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.BackupDedupBytes("doomed", workload.Random(13, 4<<20))
-	var re *RemoteError
-	if !errors.As(err, &re) || !strings.Contains(re.Msg, "disk full") {
-		t.Fatalf("mid-stream store failure = %v, want RemoteError carrying the fault", err)
-	}
-	if _, ok := srv.Recipe("doomed"); ok {
-		t.Fatal("recipe committed despite store failure")
-	}
-}
-
-// TestDedupEmptyStream: a zero-byte dedup backup commits an empty
-// recipe and restores to zero bytes.
-func TestDedupEmptyStream(t *testing.T) {
-	srv, err := NewServer(testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := startSession(t, srv)
-	if _, err := c.NegotiateDedup(chunk.FastCDCSpec(4 << 10)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.BackupDedupBytes("empty", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Bytes != 0 || st.Chunks != 0 || st.Wire.WireBytes != 0 {
-		t.Fatalf("empty dedup stream produced %+v", st)
-	}
-	got, err := c.RestoreBytes("empty")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("empty stream restored %d bytes", len(got))
-	}
-}
-
-// TestDedupRepeatedChunksInStream: a stream that repeats the same
-// content many times must upload each distinct body once and pin the
-// rest, with refcounts equal to the occurrence count.
-func TestDedupRepeatedChunksInStream(t *testing.T) {
-	srv, err := NewServer(testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := startSession(t, srv)
-	spec := chunk.FastCDCSpec(4 << 10)
-	if _, err := c.NegotiateDedup(spec); err != nil {
-		t.Fatal(err)
-	}
-	block := workload.Random(9, 64<<10)
-	data := bytes.Repeat(block, 16)
-	st, err := c.BackupDedupBytes("loop", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DupChunks == 0 || st.UniqueBytes >= int64(len(data))/2 {
-		t.Fatalf("repeated stream deduped nothing: %+v", st)
-	}
-	if err := c.Verify("loop", data); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -39,19 +39,31 @@ type Backend interface {
 	Delete(name string, sp *obs.Span) (shardstore.DeleteStats, error)
 }
 
-// Stream is one in-flight backup as a back end sees it. The front end
-// drives it from one goroutine in one of two mutually exclusive modes —
-// Add for raw (server-chunked) streams, RoundHas/RoundBody for
-// two-phase dedup streams — and ends it with a successful Commit or
-// exactly one Abort.
+// Stream is one in-flight backup as a back end sees it, driven from one
+// goroutine. Every back end keeps the same contract, and
+// internal/ingest/backendtest checks it on each of them:
+//
+//   - Modes. The first Add or RoundHas fixes the stream's mode: raw
+//     (server-chunked) streams are fed by Add, two-phase dedup streams by
+//     RoundHas/RoundBody rounds.
+//   - Refusals. Add on a stream that has run a round, RoundHas on a
+//     stream fed by Add, and either call while a round still owes bodies
+//     are refused with an error. A refused call sends and stores nothing
+//     and leaves the stream usable: it still commits and restores as fed
+//     in its own mode.
+//   - Bodies are only valid for the call that passes them; a back end
+//     that keeps one past the call copies it.
+//   - Abort. The caller calls Abort on every stream that does not
+//     commit, a failed Commit included; Commit never aborts by itself.
+//     Abort gives back every reference the stream took and is
+//     idempotent.
 type Stream interface {
 	// Add stores the next chunks of a raw stream, in stream order:
 	// bodies[i] hashes to hs[i]. Both slices and every body are only
 	// valid for the call — the bodies are views into buffers the caller
-	// reuses — so a back end that keeps one past the call copies it. A
-	// remote back end's Add is a round with the bodies in hand: the
-	// fingerprints go out, and the bodies the far end lacks follow before
-	// Add returns.
+	// reuses. A remote back end's Add is a round with the bodies in hand:
+	// the fingerprints go out, and the bodies the far end lacks follow
+	// before Add returns.
 	Add(hs []dedup.Hash, bodies [][]byte) error
 	// RoundHas opens a dedup round over hs (the stream's to keep), the
 	// next fingerprints in stream order: it takes a reference on every
@@ -68,8 +80,6 @@ type Stream interface {
 	// the client saw acknowledged survives a restart.
 	Commit() (*StreamStats, error)
 	// Abort abandons the stream, giving back every reference it took.
-	// Called once on each stream that does not commit, a failed Commit
-	// included.
 	Abort()
 }
 

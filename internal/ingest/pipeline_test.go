@@ -419,8 +419,8 @@ func TestBackupDedupFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb := &failingBacking{Backing: mb}
-		fb.remaining.Store(300) // dies during the second round
+		fb := &FaultBacking{Backing: mb}
+		fb.Arm(300) // dies during the second round
 		store, err := shardstore.Open(fb)
 		if err != nil {
 			t.Fatal(err)

@@ -40,13 +40,6 @@ type Config struct {
 	// dedup ingest and makes the server behave exactly like a
 	// version-2 build — the shredderd -dedup-wire=false switch.
 	MaxProtocol byte
-	// OnStream, when set, is called after each completed backup stream
-	// (the daemon uses it for logging). It may be called from multiple
-	// session goroutines at once.
-	OnStream func(name string, st StreamStats)
-	// OnDelete, when set, is called after each successful MsgDelete
-	// with what the deletion released. Same concurrency caveat.
-	OnDelete func(name string, ds shardstore.DeleteStats)
 	// Obs, when set, receives the server's metric families (and the
 	// store's, via Store.Instrument). Nil means no instrumentation and
 	// no overhead beyond one nil check per event.
@@ -178,11 +171,7 @@ func (b *storeBackend) Restore(name string, emit func([]byte) error, _ *obs.Span
 // Delete tombstones the recipe durably and releases its chunk
 // references.
 func (b *storeBackend) Delete(name string, sp *obs.Span) (shardstore.DeleteStats, error) {
-	ds, err := b.store.DeleteRecipeTraced(name, sp)
-	if err == nil && b.cfg.OnDelete != nil {
-		b.cfg.OnDelete(name, ds)
-	}
-	return ds, err
+	return b.store.DeleteRecipeTraced(name, sp)
 }
 
 // storeStream is one backup into the store. Either way it is fed, the
@@ -208,20 +197,31 @@ type storeStream struct {
 	// references known to be applied are listed: a batch that failed
 	// partway is left counted (a bounded leak, swept by a future fsck)
 	// rather than risk releasing references another stream holds.
-	hs       []dedup.Hash
-	owed     []int
-	applied  shardstore.Recipe
-	twoPhase bool // fed by RoundHas, not Add
+	hs      []dedup.Hash
+	owed    []int
+	applied shardstore.Recipe
+	// The stream's mode, fixed by its first Add or RoundHas.
+	added, twoPhase bool
 }
 
-// Add puts one batch as it stands and accounts it: the store copies what
-// it keeps (PutHashedBatchTraced does not retain chunks), so the bodies
-// need not outlive the call. A raw stream's batch is the pipeline's; a
-// dedup round's uploaded bodies come through flush. Every body crossed
-// the wire, so a duplicate here is a chunk the wire could not save: on
-// the dedup path, another session stored it between our answer and the
-// upload.
+// Add stores the next batch of a raw stream. A stream that has run a
+// round is refused, owed bodies or not.
 func (s *storeStream) Add(hs []dedup.Hash, bodies [][]byte) error {
+	if s.twoPhase {
+		return errors.New("ingest: batch added to a stream fed by rounds")
+	}
+	s.added = true
+	return s.put(hs, bodies)
+}
+
+// put stores one batch as it stands and accounts it: the store copies
+// what it keeps (PutHashedBatchTraced does not retain chunks), so the
+// bodies need not outlive the call. A raw stream's batch is the
+// pipeline's; a dedup round's uploaded bodies come through flush. Every
+// body crossed the wire, so a duplicate here is a chunk the wire could
+// not save: on the dedup path, another session stored it between our
+// answer and the upload.
+func (s *storeStream) put(hs []dedup.Hash, bodies [][]byte) error {
 	if len(bodies) == 0 {
 		return nil
 	}
@@ -250,7 +250,7 @@ func (s *storeStream) Add(hs []dedup.Hash, bodies [][]byte) error {
 
 // flush puts the uploaded bodies pending in the open round.
 func (s *storeStream) flush() error {
-	err := s.Add(s.batchHs, s.batch)
+	err := s.put(s.batchHs, s.batch)
 	s.batch, s.batchHs = s.batch[:0], s.batchHs[:0]
 	return err
 }
@@ -270,7 +270,15 @@ func (s *storeStream) push(h dedup.Hash, body []byte) error {
 	return nil
 }
 
+// RoundHas opens the next dedup round. A stream fed by Add is refused,
+// and so is a round while the last one still owes bodies.
 func (s *storeStream) RoundHas(hs []dedup.Hash) ([]int, error) {
+	if s.added {
+		return nil, errors.New("ingest: fingerprint round on a stream fed by Add")
+	}
+	if len(s.owed) != 0 {
+		return nil, fmt.Errorf("ingest: new round with %d bodies still owed", len(s.owed))
+	}
 	s.twoPhase = true
 	hb := s.sp.Child("has_batch", obs.Int("chunks", int64(len(hs))))
 	refs, missing, err := s.b.store.PinBatchTraced(hs, hb)
@@ -355,16 +363,15 @@ func (s *storeStream) Commit() (*StreamStats, error) {
 	}
 	st.Wire.LogicalBytes = st.Bytes
 	st.Store = s.b.store.Stats()
-	if s.b.cfg.OnStream != nil {
-		s.b.cfg.OnStream(s.name, *st)
-	}
 	return st, nil
 }
 
 // Abort gives back the references the stream took, so a backup that
-// dies uncommitted cannot pin its chunks against reclamation.
+// dies uncommitted cannot pin its chunks against reclamation. A second
+// Abort finds nothing left to give back.
 func (s *storeStream) Abort() {
 	if held := append(s.recipe, s.applied...); len(held) > 0 {
 		_, _ = s.b.store.Release(held)
 	}
+	s.recipe, s.applied = nil, nil
 }

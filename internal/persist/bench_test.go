@@ -15,7 +15,7 @@ func buildDataDir(b *testing.B, dir string, shards int, size int) {
 		b.Fatal(err)
 	}
 	chunks := corpus(b, 77, size, 2)
-	recipe, _, err := st.WriteStream(chunks)
+	recipe, err := writeStream(st, chunks)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func BenchmarkPutBatchDurable(b *testing.B) {
 			b.SetBytes(total)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := st.PutBatch(chunks); err != nil {
+				if _, _, err := putBatch(st, chunks); err != nil {
 					b.Fatal(err)
 				}
 			}

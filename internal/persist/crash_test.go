@@ -99,7 +99,7 @@ func TestCrashTruncateFinalRecord(t *testing.T) {
 	// final record is the refcount delta; the test also covers final-
 	// record-is-insert implicitly by cutting inside earlier records.
 	for _, c := range [][]byte{chunkA, chunkB, chunkA} {
-		if _, _, err := st.Put(c); err != nil {
+		if _, _, err := put(st, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestCrashTruncateFinalRecord(t *testing.T) {
 		}
 		// The repaired store must keep working: a fresh put, a clean
 		// close, and an intact second recovery.
-		if _, _, err := got.Put(bytes.Repeat([]byte{'c'}, 100)); err != nil {
+		if _, _, err := put(got, bytes.Repeat([]byte{'c'}, 100)); err != nil {
 			t.Fatalf("cut at %d: put after recovery: %v", cut, err)
 		}
 		statsAfter := got.Stats()
@@ -203,7 +203,7 @@ func TestCrashTruncateRecipeLog(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Shards: 1}
 	st := openStore(t, dir, opts)
-	if _, _, err := st.Put([]byte("chunk")); err != nil {
+	if _, _, err := put(st, []byte("chunk")); err != nil {
 		t.Fatal(err)
 	}
 	h := dedup.Sum([]byte("chunk"))

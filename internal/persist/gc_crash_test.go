@@ -157,7 +157,7 @@ func TestDeleteCrashShardWALTruncation(t *testing.T) {
 		// The repaired store keeps working: finish the interrupted
 		// delete's worth of work by re-deleting nothing (r1 is gone),
 		// put a chunk, close, recover again.
-		if _, _, err := got.Put([]byte("post-crash chunk")); err != nil {
+		if _, _, err := put(got, []byte("post-crash chunk")); err != nil {
 			t.Fatalf("cut at %d: put after recovery: %v", cut, err)
 		}
 		statsAfter := got.Stats()
@@ -320,7 +320,7 @@ func TestRelocateCrashWALTruncation(t *testing.T) {
 				}
 			}
 			// The repaired store stays writable and stable.
-			if _, _, err := got.Put([]byte("post-crash")); err != nil {
+			if _, _, err := put(got, []byte("post-crash")); err != nil {
 				t.Fatalf("scrub=%v cut at %d: put: %v", scrub, cut, err)
 			}
 			statsAfter := got.Stats()

@@ -20,7 +20,7 @@ func chunk256(tag string, i int) []byte {
 // ingestStream writes chunks as a named stream.
 func ingestStream(t *testing.T, st *shardstore.Store, name string, chunks [][]byte) shardstore.Recipe {
 	t.Helper()
-	r, _, err := st.WriteStream(chunks)
+	r, err := writeStream(st, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDeleteCompactDiskRoundTrip(t *testing.T) {
 	if rc := st.Refcount(dedup.Sum(shared)); rc != 1 {
 		t.Fatalf("shared chunk refcount %d, want 1", rc)
 	}
-	_, dup, err := st.PutBatch(dropChunks)
+	_, dup, err := putBatch(st, dropChunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +145,10 @@ func TestCompactedStoreKeepsDeduplicating(t *testing.T) {
 	}
 	// Interleave so every container is half dead after the delete.
 	for i := range keepChunks {
-		if _, _, err := st.Put(dropChunks[i]); err != nil {
+		if _, _, err := put(st, dropChunks[i]); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := st.Put(keepChunks[i]); err != nil {
+		if _, _, err := put(st, keepChunks[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestCompactedStoreKeepsDeduplicating(t *testing.T) {
 	if _, err := st.Compact(0.9); err != nil {
 		t.Fatal(err)
 	}
-	_, dup, err := st.PutBatch(keepChunks)
+	_, dup, err := putBatch(st, keepChunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestPinnedRefcountSurvivesMoves(t *testing.T) {
 		st := openStore(t, dir, opts)
 		// The pinned chunk shares its container with chunks about to die,
 		// so the compactor has to move it.
-		dying, _, err := st.WriteStream([][]byte{pinned, chunk256("dying", 0), chunk256("dying", 1)})
+		dying, err := writeStream(st, [][]byte{pinned, chunk256("dying", 0), chunk256("dying", 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,7 +167,7 @@ func TestGroupCommitStoreDurability(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < recipes; i++ {
 				body := []byte(fmt.Sprintf("session-%d-recipe-%d", g, i))
-				if _, _, err := st.Put(body); err != nil {
+				if _, _, err := put(st, body); err != nil {
 					errs[g] = err
 					return
 				}
@@ -345,7 +345,7 @@ func TestCheckedSyncCountsErrors(t *testing.T) {
 func TestCrashTruncateGroupCommittedRecipes(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, groupOpts(1))
-	if _, _, err := st.Put([]byte("shared chunk")); err != nil {
+	if _, _, err := put(st, []byte("shared chunk")); err != nil {
 		t.Fatal(err)
 	}
 	h := dedup.Sum([]byte("shared chunk"))

@@ -120,7 +120,7 @@ func TestJournalRewriteFailStop(t *testing.T) {
 				return err
 			},
 			later: func(st *shardstore.Store, i int) error {
-				_, _, err := st.Put(chunk256("later", i))
+				_, _, err := put(st, chunk256("later", i))
 				return err
 			},
 		},
@@ -185,7 +185,7 @@ func TestJournalRewriteFailStop(t *testing.T) {
 			if tc.recovered != nil {
 				tc.recovered(t, st)
 			}
-			if _, _, err := st.Put(chunk256("after repair", 0)); err != nil {
+			if _, _, err := put(st, chunk256("after repair", 0)); err != nil {
 				t.Fatalf("put on the repaired store: %v", err)
 			}
 		})

@@ -27,7 +27,7 @@ func TestMissingSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Store the first half, then pin it (refcount 2 each).
-	if _, _, err := store.PutBatch(chunks[:12]); err != nil {
+	if _, _, err := putBatch(store, chunks[:12]); err != nil {
 		t.Fatal(err)
 	}
 	if _, missing, err := store.PinBatch(hs[:12]); err != nil || len(missing) != 0 {
@@ -56,7 +56,7 @@ func TestMissingSurvivesRestart(t *testing.T) {
 		}
 	}
 	// Appends after recovery are answered for too.
-	if _, _, err := store.PutBatch(chunks[12:]); err != nil {
+	if _, _, err := putBatch(store, chunks[12:]); err != nil {
 		t.Fatal(err)
 	}
 	if got := store.Missing(hs); len(got) != 0 {

@@ -13,6 +13,31 @@ import (
 	"shredder/internal/workload"
 )
 
+// putBatch puts chunks through PutHashedBatch, the store's one put;
+// put and writeStream are its one-chunk and whole-stream forms.
+func putBatch(s *shardstore.Store, chunks [][]byte) ([]shardstore.Ref, []bool, error) {
+	hs := make([]shardstore.Hash, len(chunks))
+	for i, c := range chunks {
+		hs[i] = dedup.Sum(c)
+	}
+	return s.PutHashedBatch(hs, chunks)
+}
+
+func put(s *shardstore.Store, data []byte) (shardstore.Ref, bool, error) {
+	refs, dup, err := putBatch(s, [][]byte{data})
+	return refs[0], dup[0], err
+}
+
+// writeStream stores an already-chunked stream and returns its recipe.
+func writeStream(s *shardstore.Store, chunks [][]byte) (shardstore.Recipe, error) {
+	r := make(shardstore.Recipe, len(chunks))
+	for i, c := range chunks {
+		r[i] = dedup.Sum(c)
+	}
+	_, _, err := s.PutHashedBatch(r, chunks)
+	return r, err
+}
+
 // corpus cuts a deterministic snapshot series into content-defined
 // chunks, the same workload the shardstore tests use.
 func corpus(t testing.TB, seed int64, size, snapshots int) [][]byte {
@@ -71,14 +96,14 @@ func TestRoundTrip(t *testing.T) {
 	st := openStore(t, dir, opts)
 
 	chunks := corpus(t, 21, 1<<20, 2)
-	recipe, _, err := st.WriteStream(chunks)
+	recipe, err := writeStream(st, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.CommitRecipe("stream-a", recipe); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Put([]byte("one more chunk")); err != nil {
+	if _, _, err := put(st, []byte("one more chunk")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.CommitRecipe("stream-b", shardstore.Recipe{dedup.Sum([]byte("one more chunk"))}); err != nil {
@@ -123,7 +148,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// The recovered index must classify the same chunks as duplicates.
-	_, dup, err := st.PutBatch(chunks)
+	_, dup, err := putBatch(st, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +174,8 @@ func TestDifferentialAgainstMemory(t *testing.T) {
 	}
 	chunks := corpus(t, 33, 1<<20, 1)
 	for i, c := range chunks {
-		dr, ddup, derr := disk.Put(c)
-		mr, mdup, merr := mem.Put(c)
+		dr, ddup, derr := put(disk, c)
+		mr, mdup, merr := put(mem, c)
 		if derr != nil || merr != nil {
 			t.Fatal(derr, merr)
 		}
@@ -187,7 +212,7 @@ func TestFsyncPolicies(t *testing.T) {
 			dir := t.TempDir()
 			st := openStore(t, dir, Options{Shards: 2, Fsync: policy})
 			chunks := corpus(t, 5, 256<<10, 0)
-			if _, _, err := st.PutBatch(chunks); err != nil {
+			if _, _, err := putBatch(st, chunks); err != nil {
 				t.Fatal(err)
 			}
 			stats := st.Stats()
@@ -257,7 +282,7 @@ func TestTornContainerTail(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		chunks = append(chunks, bytes.Repeat([]byte{byte('a' + i)}, 100))
 	}
-	refs, _, err := st.PutBatch(chunks)
+	refs, _, err := putBatch(st, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +318,7 @@ func TestTornContainerTail(t *testing.T) {
 	if want := refs[5].Offset + refs[5].Length; fi.Size() != want {
 		t.Fatalf("container truncated to %d, want %d", fi.Size(), want)
 	}
-	if _, _, err := st.Put([]byte("new chunk after repair")); err != nil {
+	if _, _, err := put(st, []byte("new chunk after repair")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -311,7 +336,7 @@ func TestVerifyOnRecover(t *testing.T) {
 		bytes.Repeat([]byte{'b'}, 100),
 		bytes.Repeat([]byte{'c'}, 100),
 	}
-	refs, _, err := st.PutBatch(chunks)
+	refs, _, err := putBatch(st, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +385,7 @@ func TestVerifyOnRecover(t *testing.T) {
 func TestOversizedRecipeRejected(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, Options{Shards: 1})
-	if _, _, err := st.Put([]byte("chunk")); err != nil {
+	if _, _, err := put(st, []byte("chunk")); err != nil {
 		t.Fatal(err)
 	}
 	// Each recipe entry is one 32-byte fingerprint; enough of them push
@@ -391,10 +416,10 @@ func TestOversizedRecipeRejected(t *testing.T) {
 func TestRecipeReplace(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, Options{Shards: 1})
-	if _, _, err := st.Put([]byte("v1")); err != nil {
+	if _, _, err := put(st, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Put([]byte("v2")); err != nil {
+	if _, _, err := put(st, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.CommitRecipe("vm", shardstore.Recipe{dedup.Sum([]byte("v1"))}); err != nil {

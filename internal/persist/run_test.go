@@ -135,7 +135,7 @@ func TestContainerWriteFailure(t *testing.T) {
 		first = append(first, []byte(fmt.Sprintf("first batch, chunk %d", i)))
 		second = append(second, []byte(fmt.Sprintf("second batch, chunk %d", i)))
 	}
-	if _, _, err := st.PutBatch(first); err != nil {
+	if _, _, err := putBatch(st, first); err != nil {
 		t.Fatal(err)
 	}
 	before := st.Stats()
@@ -155,7 +155,7 @@ func TestContainerWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err := st.PutBatch(second)
+	_, _, err := putBatch(st, second)
 	if !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("put over a closed container file returned %v, want the write's own error", err)
 	}

@@ -591,7 +591,7 @@ func runSlowDisk(t testing.TB, n, commits int) slowDiskResult {
 			for i := 0; i < commits; i++ {
 				body := []byte(fmt.Sprintf("slow-disk-%d-%d", g, i))
 				c0 := time.Now()
-				if _, _, errs[g] = st.Put(body); errs[g] != nil {
+				if _, _, errs[g] = put(st, body); errs[g] != nil {
 					return
 				}
 				if errs[g] = st.CommitRecipe(fmt.Sprintf("r-%d-%d", g, i), shardstore.Recipe{dedup.Sum(body)}); errs[g] != nil {

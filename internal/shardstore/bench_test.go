@@ -35,7 +35,7 @@ func runParallelPut(b *testing.B, store *Store, g int) {
 			defer wg.Done()
 			off := w * len(chunks) / g
 			for i := 0; i < per; i++ {
-				store.Put(chunks[(off+i)%len(chunks)])
+				put(store, chunks[(off+i)%len(chunks)])
 			}
 		}(w)
 	}
@@ -72,7 +72,7 @@ func BenchmarkShardstoreHas(b *testing.B) {
 			chunks := benchChunks(4096)
 			hashes := make([]Hash, len(chunks))
 			for i, c := range chunks {
-				store.Put(c)
+				put(store, c)
 				hashes[i] = dedup.Sum(c)
 			}
 			b.ResetTimer()
@@ -110,7 +110,7 @@ func BenchmarkShardstorePutBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				off := (i * batch) % (len(chunks) - batch)
-				store.PutBatch(chunks[off : off+batch])
+				putBatch(store, chunks[off:off+batch])
 			}
 		})
 	}

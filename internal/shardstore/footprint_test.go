@@ -43,7 +43,7 @@ func TestIndexFootprint(t *testing.T) {
 			chunks[j] = buf[16*j : 16*j+16]
 			binary.BigEndian.PutUint64(chunks[j], uint64(i+j))
 		}
-		if _, _, err := s.PutBatch(chunks); err != nil {
+		if _, _, err := putBatch(s, chunks); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -27,7 +27,7 @@ func splitStream(data []byte, size int) [][]byte {
 // ingestNamed writes chunks as a named stream and returns its recipe.
 func ingestNamed(t *testing.T, s *Store, name string, chunks [][]byte) Recipe {
 	t.Helper()
-	r, _, err := s.WriteStream(chunks)
+	r, err := writeStream(s, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCompactMemoryReclaims(t *testing.T) {
 		chunk256("fill", 0),
 	}
 	for _, c := range order {
-		if _, _, err := s.Put(c); err != nil {
+		if _, _, err := put(s, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +273,7 @@ func TestCompactMemoryReclaims(t *testing.T) {
 		t.Fatalf("second compaction still found victims: %+v", cs2)
 	}
 	// The store keeps working after compaction.
-	if _, _, err := s.Put([]byte("post-compaction chunk")); err != nil {
+	if _, _, err := put(s, []byte("post-compaction chunk")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -293,11 +293,11 @@ func TestCompactThresholdZero(t *testing.T) {
 	}
 	var keepRecipe, dropRecipe Recipe
 	for i := range mixedKeep {
-		if _, _, err := s.Put(mixedKeep[i]); err != nil {
+		if _, _, err := put(s, mixedKeep[i]); err != nil {
 			t.Fatal(err)
 		}
 		keepRecipe = append(keepRecipe, dedup.Sum(mixedKeep[i]))
-		if _, _, err := s.Put(mixedDrop[i]); err != nil {
+		if _, _, err := put(s, mixedDrop[i]); err != nil {
 			t.Fatal(err)
 		}
 		dropRecipe = append(dropRecipe, dedup.Sum(mixedDrop[i]))

